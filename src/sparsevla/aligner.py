@@ -3,7 +3,8 @@ selection, and per-view cross-attention fusion of spatial features into
 the selected object tokens.
 
 Selection is a hard, non-differentiable index set: gradients flow through
-the selected token values only, never through the scores.
+the selected token values only, never through the scores. W_t therefore
+gets no gradient and is a frozen random projection.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class CVAligner(Module):
         super().__init__()
         self.cfg = cfg
         std = (2.0 / (d_t + d_v)) ** 0.5
-        self.w_t = self.add_param("w_t", std * rng.normal(size=(d_t, d_v)))
+        self.w_t = self.add_param("w_t", std * rng.normal(size=(d_t, d_v)),
+                                  trainable=False)
         self.fusion = self.add_module("fusion", SingleFusion(rng, cfg, d_v))
 
     def align_views(self, z_sem: dict[str, TokenSet], t: Tensor,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (ConfigError, Tensor, concat, layer_norm, masked_softmax,
-                     matmul, parameter, reshape, swapaxes, tanh)
+from .tensor import (ConfigError, Tensor, layer_norm, masked_softmax, matmul,
+                     parameter, reshape, swapaxes, tanh)
 
 
 class Module:
@@ -144,7 +144,3 @@ class CrossAttnLayer(Module):
 
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
         return self.ffn(self.attn(q, kv)) + q
-
-
-def concat_tokens(parts: list[Tensor]) -> Tensor:
-    return concat(parts, axis=-2)

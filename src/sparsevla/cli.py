@@ -97,7 +97,7 @@ def cmd_grad_check(args) -> int:
     _write_json(args.out, report)
     for name, g in report["groups"].items():
         print(f"{name}: max rel err {g['max_rel_err']:.3e} ({g['checked']} entries)")
-    print(f"frozen spatial3d zero-grad: {report['frozen_zero_grad']}")
+    print(f"frozen zero-grad: {report['frozen_zero_grad']}")
     print("PASS" if report["pass"] else f"FAIL: {report['failing_groups']}")
     return 0 if report["pass"] else 1
 

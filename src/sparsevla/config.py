@@ -70,7 +70,9 @@ class FuserConfig:
     psi: float = 0.2
     delta: float = 0.05
     schedule: str = "cosine"     # cosine | linear
-    layout: str = "two-block"    # two-block | per-view
+    # two-block | per-view; COFuser.run does not depend on it, but the
+    # benchmark's agg-only replica (perfbench/workloads.py) still reads it
+    layout: str = "two-block"
     n_heads: int = 4
     d_ff: int = 64
 
@@ -101,7 +103,6 @@ class TrainConfig:
     # factor so their summed squared errors stay comparable to the action
     # loss instead of dominating the shared trunk's gradient
     aux_target_scale: float = 0.01
-    dtype: str = "float64"   # float64 | float32
     log_every: int = 1
     smooth_window: int = 100
 
@@ -207,8 +208,6 @@ def validate(cfg: FullConfig) -> None:
         raise ConfigError(f"unknown fuser layout {cfg.fuser.layout!r}")
     if cfg.train.steps < 0 or cfg.train.batch_size < 1:
         raise ConfigError("train.steps must be >= 0 and batch_size >= 1")
-    if cfg.train.dtype not in ("float64", "float32"):
-        raise ConfigError(f"unsupported dtype {cfg.train.dtype!r}")
 
 
 def toy_config() -> FullConfig:
@@ -247,12 +246,3 @@ def paper_dims_audit() -> AuditConfig:
         d_model=4096, d_ff=11008, n_layers=32,
     )
 
-
-# Sparsification-sweep budgets: (k_obj==n_agg, query-token total). The
-# sweep uses an 18-token query budget; the per-segment breakdown used as
-# the default elsewhere is 12 dyn + 4 dep = 16.
-BUDGET_PRESETS = {
-    "sweep-high": {"k_obj": 128, "n_agg": 128, "n_query": 30},
-    "sweep-mid": {"k_obj": 64, "n_agg": 64, "n_query": 18},
-    "sweep-low": {"k_obj": 32, "n_agg": 32, "n_query": 12},
-}

@@ -2,8 +2,9 @@
 
 - semantic: instruction-modulated (FiLM) self-attention stack, shared
   across views; each layer computes (1+gamma(t)) * SelfAttn(z) + beta(t).
-- geometric: plain per-view transformer exposing every layer's features;
-  layer 0 is exactly the (bias-free) patch-embedding linear map.
+- geometric: plain per-view transformer exposing the features z_0..z_{L'-1}
+  that the fuser reads (L'-1 transformer layers, as nothing reads z_L');
+  z_0 is exactly the (bias-free) patch-embedding linear map.
 - spatial3d: frozen joint encoder over all views; its patch embedding
   concatenates a linear encoding of oracle per-patch depth and
   object-identity channels, so the stream genuinely carries geometry.
@@ -15,7 +16,7 @@ import numpy as np
 
 from .blocks import LayerNorm, Linear, Module, MultiHeadAttention, TransformerLayer
 from .config import EncoderConfig, WorldConfig
-from .tensor import ConfigError, Tensor, concat, embedding, matmul, reshape
+from .tensor import ConfigError, Tensor, concat, embedding, reshape
 
 
 def position_code(n_patches: int, d: int) -> np.ndarray:
@@ -89,19 +90,22 @@ class GeometricEncoder(Module):
     def __init__(self, rng, cfg: EncoderConfig, patch_dim: int, n_patches: int):
         super().__init__()
         self.embed = self.add_module("embed", Linear(rng, patch_dim, cfg.d_v, bias=False))
-        self.pos = self.add_param("pos", position_code(n_patches, cfg.d_v))
+        n_layers = cfg.n_layers_geo - 1
+        if n_layers:
+            self.pos = self.add_param("pos", position_code(n_patches, cfg.d_v))
         self.layers = [self.add_module(f"layer{i}",
                                        TransformerLayer(rng, cfg.d_v, cfg.n_heads, cfg.d_ff))
-                       for i in range(cfg.n_layers_geo)]
+                       for i in range(n_layers)]
 
     def __call__(self, patches: Tensor) -> list[Tensor]:
-        """Returns per-layer features z_0..z_L' (L'+1 entries)."""
+        """Returns per-layer features z_0..z_{L'-1} (L' entries)."""
         z0 = self.embed(patches)
         feats = [z0]
-        h = z0 + self.pos
-        for layer in self.layers:
-            h = layer(h)
-            feats.append(h)
+        if self.layers:
+            h = z0 + self.pos
+            for layer in self.layers:
+                h = layer(h)
+                feats.append(h)
         return feats
 
 

@@ -1,7 +1,8 @@
 """Cross-object fuser: layer-wise blending of the geometric and frozen
 spatial streams under a cosine-decay weight, then block-wise causal
 self-attention that lets learned aggregation tokens read the geometry
-(never the reverse).
+(never the reverse). `COFuser.run` forms queries for the aggregation rows
+only; `build_bc_mask` and `ig_aggregate` give the full block as reference.
 """
 
 from __future__ import annotations
@@ -110,10 +111,16 @@ class COFuser(Module):
             raise ConfigError(
                 f"per-layer feature counts ({len(geo_feats)}, {len(spatial_feats)}) "
                 f"!= configured layers {n_layers}")
-        mask = build_bc_mask(n_geo_per_view, n_views, self.cfg.n_agg, self.cfg.layout)
+        n_geo, n_agg = n_geo_per_view * n_views, self.cfg.n_agg
+        if any(g.n_tokens != n_geo for g in geo_feats):
+            raise ContractError(f"geometric token counts differ from {n_geo}")
         lead = geo_feats[0].tokens.shape[:-2]
         agg = self.agg0 + Tensor(np.zeros((*lead, *self.agg0.shape)))
         for l, (geo, sp, block) in enumerate(zip(geo_feats, spatial_feats, self.blocks)):
             fused = group_fuse(geo, sp, l, self.sched)
-            _, agg = ig_aggregate(fused, agg, block, mask)
+            # the agg rows of ig_aggregate's block: they see every key under
+            # either layout, and nothing reads the geo rows
+            z = block.ln1(concat([fused.tokens, agg], axis=-2))
+            h = agg + block.attn(narrow(z, -2, n_geo, n_agg), z)
+            agg = h + block.ffn(block.ln2(h))
         return TokenSet(agg, role="agg3d")

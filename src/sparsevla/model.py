@@ -16,8 +16,7 @@ from .encoders import (GeometricEncoder, InstructionTable, SemanticEncoder,
                        Spatial3DEncoder, patchify)
 from .fuser import COFuser
 from .tensor import Tensor, concat, narrow, reshape
-from .thinker import (CSThinker, LossReport, loss_action, loss_dep4d,
-                      loss_dyn4d, total_loss)
+from .thinker import CSThinker, loss_action, loss_dep4d, loss_dyn4d, total_loss
 from .types import TokenSet
 from .world import VIEW_NAMES, oracle_dyn_targets
 
@@ -82,8 +81,7 @@ class VLAModel(Module):
                 reshape(narrow(sp_final, 1, i, 1), (b, p, d)), role="spatial3d", view=name)
         obj3d, sels = self.aligner.align_views(sem_sets, t, sp_sets)
 
-        geo_joint = [TokenSet(reshape(f, (b, v * p, d)), role="geo")
-                     for f in geo_feats[:len(self.fuser.blocks)]]
+        geo_joint = [TokenSet(reshape(f, (b, v * p, d)), role="geo") for f in geo_feats]
         sp_joint = [TokenSet(f, role="spatial3d")
                     for f in sp_feats[:len(self.fuser.blocks)]]
         agg = self.fuser.run(geo_joint, sp_joint, n_geo_per_view=p, n_views=v)
@@ -156,8 +154,6 @@ class VLAModel(Module):
                 return "semantic_encoder"
             if name.startswith("geometric/"):
                 return "geometric_encoder"
-            if name == "aligner/w_t":
-                return "w_t"
             if name.startswith("aligner/fusion"):
                 return "fusion_blocks"
             if name == "fuser/agg0":

@@ -278,7 +278,3 @@ class CSThinker(Module):
             out["dyn_pred"] = self.decode_dynamic(states)
             out["dep_pred"] = self.decode_depth(states)
         return out
-
-    def infer_actions(self, obj3d: list[TokenSet], agg: TokenSet, t: Tensor) -> Tensor:
-        """Action path only; auxiliary decoders are never evaluated."""
-        return self.decode_action(self.sc_forward(obj3d, agg, t))

@@ -11,11 +11,11 @@ import numpy as np
 
 from .config import FullConfig
 from .model import VLAModel
-from .tensor import ContractError, Tape, backward, grad_of
+from .tensor import ContractError, Tape, backward, grad_check, grad_of
 from .world import (expert_action, is_success, observe, sample_scene,
                     step_scene, episode_samples)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +29,11 @@ def collect_samples(episodes: list[dict], chunk: int) -> list[tuple]:
     return samples
 
 
-def assemble_batch(samples: list[tuple], dtype=np.float64) -> dict:
+def assemble_batch(samples: list[tuple]) -> dict:
     obs = [s[0] for s in samples]
     nxt = [s[2] for s in samples]
 
-    def stack(recs, key, cast=dtype):
+    def stack(recs, key, cast=np.float64):
         return np.stack([r[key] for r in recs]).astype(cast)
 
     return {
@@ -42,7 +42,7 @@ def assemble_batch(samples: list[tuple], dtype=np.float64) -> dict:
         "obj_channels": stack(obs, "obj_channels"),
         "target_mask_m": stack(obs, "target_mask_m", cast=bool),
         "instruction_id": np.array([s[3] for s in samples]),
-        "actions": np.stack([s[1] for s in samples]).astype(dtype),
+        "actions": np.stack([s[1] for s in samples]).astype(np.float64),
         "next": {
             "views": stack(nxt, "views"),
             "depth_patch": stack(nxt, "depth_patch"),
@@ -100,9 +100,20 @@ def load_checkpoint(path: str, model: VLAModel) -> int:
     if blob.get("config_hash") != model.cfg.arch_hash():
         raise ContractError("checkpoint config hash does not match model config")
     params = model.named_parameters()
-    for name, vals in blob["params"].items():
-        p = params[name]
-        p.data = np.asarray(vals, dtype=p.data.dtype).reshape(p.data.shape)
+    saved = blob["params"]
+    missing, extra = sorted(set(params) - set(saved)), sorted(set(saved) - set(params))
+    if missing or extra:
+        raise ContractError(f"checkpoint parameters do not match the model: "
+                            f"missing {missing}, extra {extra}")
+    loaded = {}
+    for name, vals in saved.items():
+        arr = np.asarray(vals, dtype=np.float64)
+        if arr.shape != params[name].data.shape:
+            raise ContractError(f"checkpoint parameter {name} has shape {arr.shape}, "
+                                f"model expects {params[name].data.shape}")
+        loaded[name] = arr
+    for name, arr in loaded.items():
+        params[name].data = arr
     return int(blob["step"])
 
 
@@ -117,11 +128,7 @@ def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAMod
     sampling both derive from cfg.train.seed.
     """
     tc = cfg.train
-    dtype = np.float64 if tc.dtype == "float64" else np.float32
     model = VLAModel(cfg, seed=tc.seed)
-    if dtype is np.float32:
-        for p in model.named_parameters().values():
-            p.data = p.data.astype(np.float32)
     samples = collect_samples(episodes, cfg.world.chunk)
     if not samples:
         raise ContractError("dataset contains no training samples")
@@ -131,7 +138,7 @@ def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAMod
     stream = []
     for step in range(tc.steps):
         picks = rng.integers(len(samples), size=tc.batch_size)
-        batch = assemble_batch([samples[i] for i in picks], dtype=dtype)
+        batch = assemble_batch([samples[i] for i in picks])
         with Tape() as tape:
             total, report = model.compute_losses(
                 batch, enable_dyn=tc.enable_dyn_loss, enable_dep=tc.enable_dep_loss,
@@ -231,7 +238,8 @@ def run_grad_checks(cfg: FullConfig, seed: int = 0, n_per_group: int = 32,
     """Finite-difference verification of the full objective's gradients.
 
     Checks a random n_per_group-entry subset of every trainable parameter
-    group and asserts exactly-zero gradients on frozen spatial parameters.
+    group and asserts exactly-zero gradients on frozen parameters (the
+    spatial3d stream and the aligner's W_t projection).
     """
     from .world import run_expert_episode
 
@@ -259,40 +267,23 @@ def run_grad_checks(cfg: FullConfig, seed: int = 0, n_per_group: int = 32,
         total, _ = model.compute_losses(batch)
         return total
 
-    with Tape() as tape:
-        loss = f()
-    grads = backward(loss, tape)
-
     report = {"pass": True, "tol": tol, "groups": {}, "failing_groups": []}
     for gname, group in sorted(model.parameter_groups().items()):
-        entries = [(name, p, i) for name, p in sorted(group.items())
-                   for i in range(p.data.size)]
-        if len(entries) > n_per_group:
-            picks = rng.choice(len(entries), size=n_per_group, replace=False)
-            entries = [entries[i] for i in picks]
-        worst = 0.0
-        for _name, p, i in entries:
-            flat = p.data.reshape(-1)
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = float(f().data)
-            flat[i] = orig - step
-            fm = float(f().data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * step)
-            analytic = float(grad_of(grads, p).reshape(-1)[i])
-            diff = abs(analytic - numeric)
-            if diff > floor:
-                worst = max(worst, diff / max(abs(analytic), abs(numeric), floor))
-        report["groups"][gname] = {"max_rel_err": worst, "checked": len(entries)}
-        if worst >= tol:
+        rep = grad_check(f, dict(sorted(group.items())), step=step, tol=tol,
+                         floor=floor, rng=rng, max_entries=n_per_group)
+        report["groups"][gname] = {"max_rel_err": rep["max_rel_err"],
+                                   "checked": rep["checked"]}
+        if not rep["pass"]:
             report["pass"] = False
             report["failing_groups"].append(gname)
 
+    with Tape() as tape:
+        loss = f()
+    grads = backward(loss, tape)
     frozen_ok = all(np.all(grad_of(grads, p) == 0.0)
                     for p in model.frozen_parameters().values())
     report["frozen_zero_grad"] = bool(frozen_ok)
     if not frozen_ok:
         report["pass"] = False
-        report["failing_groups"].append("frozen_spatial3d")
+        report["failing_groups"].append("frozen")
     return report

@@ -14,7 +14,7 @@ recorded at action-chunk boundaries and serialized as JSON Lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -82,7 +82,7 @@ def test_train_eval_grad_check_pipeline(tmp_path, capsys):
 
     gc_path = str(tmp_path / "gc.json")
     code, out, _ = run(capsys, "grad-check", "--config", cfgp, "--out", gc_path)
-    assert code == 0 and "PASS" in out
+    assert code == 0 and "PASS" in out and "frozen zero-grad: True" in out
     gc = json.load(open(gc_path))
     assert gc["pass"] and gc["frozen_zero_grad"]
 
@@ -92,6 +92,26 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, capsys):
     code, _, _ = run(capsys, "eval", "--config", cfgp,
                      "--ckpt", str(tmp_path / "missing.json"), "--episodes", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("extra_key", lambda params: params.update({"extra/w": [0.0]}), "extra ['extra/w']"),
+    ("missing_key", lambda params: params.pop("fuser/agg0"), "missing ['fuser/agg0']"),
+    ("wrong_shape", lambda params: params.update({"fuser/agg0": [[0.0]]}),
+     "fuser/agg0 has shape (1, 1)"),
+])
+def test_eval_rejects_mismatched_checkpoint(tmp_path, capsys, name, edit, message):
+    from sparsevla.model import VLAModel
+    from sparsevla.trainer import save_checkpoint
+    cfgp = _micro_cfg_file(tmp_path)
+    ck = str(tmp_path / f"{name}.json")
+    save_checkpoint(ck, VLAModel(micro_config(), seed=0), step=0)
+    blob = json.load(open(ck))
+    edit(blob["params"])
+    json.dump(blob, open(ck, "w"))
+    code, _, err = run(capsys, "eval", "--config", cfgp, "--ckpt", ck, "--episodes", "1")
+    assert code == 1 and "error" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_audit_budget_cli(tmp_path, capsys):
@@ -160,3 +180,10 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     bad.write_text(json.dumps({"worlds": {}}))
     code, _, err = run(capsys, "audit-budget", "--config", str(bad))
     assert code == 1 and "unknown" in err
+
+
+def test_config_file_with_removed_train_dtype(tmp_path, capsys):
+    bad = tmp_path / "dtype.json"
+    bad.write_text(json.dumps({"train": {"dtype": "float32"}}))
+    code, _, err = run(capsys, "audit-budget", "--config", str(bad))
+    assert code == 1 and "unknown" in err and "dtype" in err

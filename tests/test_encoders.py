@@ -115,7 +115,9 @@ def test_geometric_feature_count():
     rng = np.random.default_rng(6)
     enc = GeometricEncoder(rng, EC, patch_dim=48, n_patches=4)
     feats = enc(Tensor(rng.normal(size=(4, 48))))
-    assert len(feats) == EC.n_layers_geo + 1
+    # z_0..z_{L'-1}: the fuser reads L' layers, so the stream runs L'-1
+    assert len(feats) == EC.n_layers_geo
+    assert len(enc.layers) == EC.n_layers_geo - 1
     assert all(f.shape == (4, 8) for f in feats)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sparsevla.blocks import TransformerLayer
 from sparsevla.fuser import (AlphaSchedule, COFuser, alpha, build_bc_mask,
                              group_fuse, ig_aggregate)
-from sparsevla.config import FuserConfig
+from sparsevla.config import FuserConfig, toy_config
 from sparsevla.tensor import ContractError, Tensor
 from sparsevla.types import TokenSet
 
@@ -226,6 +226,26 @@ def test_run_cofuser_layer_count_mismatch():
     feats = [_ts(rng.normal(size=(1, 6, 4)), "geo")]
     with pytest.raises(Exception, match="layers"):
         fuser.run(feats, feats, 2, 3)
+
+
+@pytest.mark.parametrize("layout", ["two-block", "per-view"])
+@pytest.mark.parametrize("b", [1, 16])
+def test_run_cofuser_equals_agg_rows_of_full_blocks(b, layout):
+    # run() forms agg queries only; the reference chains the full masked
+    # block and keeps the agg slice, which the geo-row layout cannot change
+    cfg = toy_config()
+    d, p, v = cfg.encoders.d_v, cfg.world.n_patches, cfg.n_views
+    n_layers = cfg.encoders.n_layers_geo
+    rng = np.random.default_rng(b)
+    fuser = COFuser(rng, cfg.fuser, d, n_layers)
+    geo = [_ts(rng.normal(size=(b, v * p, d)), "geo") for _ in range(n_layers)]
+    sp = [_ts(rng.normal(size=(b, v * p, d)), "spatial3d") for _ in range(n_layers)]
+    mask = build_bc_mask(p, v, cfg.fuser.n_agg, layout)
+    agg = fuser.agg0 + Tensor(np.zeros((b, *fuser.agg0.shape)))
+    for l, (g, s, block) in enumerate(zip(geo, sp, fuser.blocks)):
+        _, agg = ig_aggregate(group_fuse(g, s, l, fuser.sched), agg, block, mask)
+    got = fuser.run(geo, sp, p, v).tokens.data
+    assert got.shape == agg.data.shape and got.tobytes() == agg.data.tobytes()
 
 
 def test_full_scale_preset_agg_ratio():

@@ -175,8 +175,6 @@ def test_action_identical_with_and_without_aux():
     lean = th(obj, agg, t, run_aux=False)
     np.testing.assert_array_equal(full["action"].data, lean["action"].data)
     assert "dyn_pred" not in lean
-    np.testing.assert_array_equal(th.infer_actions(obj, agg, t).data,
-                                  full["action"].data)
 
 
 def test_dep_states_blind_to_obj_tokens():

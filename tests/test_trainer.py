@@ -3,7 +3,7 @@ import pytest
 
 from sparsevla.config import micro_config, toy_config
 from sparsevla.model import VLAModel
-from sparsevla.tensor import ContractError, Tensor, parameter
+from sparsevla.tensor import ContractError, Tape, Tensor, backward, grad_of, parameter
 from sparsevla.trainer import (Adam, assemble_batch, collect_samples,
                                evaluate_closed_loop, load_checkpoint,
                                model_policy, run_grad_checks, save_checkpoint,
@@ -92,6 +92,25 @@ def test_train_runs_and_is_deterministic():
                                   sorted(m2.named_parameters().items())):
         assert k1 == k2
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+@pytest.mark.parametrize("make_cfg", [toy_config, micro_config])
+def test_every_trainable_parameter_gets_gradient(make_cfg):
+    # a parameter whose gradient is exactly zero on a training batch can
+    # never move; after a few updates (the zero-init decoder heads need
+    # one) every trainable tensor must carry some gradient
+    cfg = make_cfg()
+    cfg.train.steps = 3
+    cfg.train.batch_size = 16
+    eps = _episodes(4, cfg=cfg)
+    model, _ = train(cfg, eps)
+    batch = assemble_batch(collect_samples(eps, cfg.world.chunk)[:16])
+    with Tape() as tape:
+        total, _ = model.compute_losses(batch, aux_target_scale=cfg.train.aux_target_scale)
+    grads = backward(total, tape)
+    dead = sorted(name for name, p in model.trainable_parameters().items()
+                  if not np.any(grad_of(grads, p)))
+    assert dead == []
 
 
 def test_train_rejects_empty_dataset():
