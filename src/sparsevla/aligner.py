@@ -1,6 +1,8 @@
 """Cross-view aligner: instruction-similarity scoring, Top-K token
 selection, and per-view cross-attention fusion of spatial features into
-the selected object tokens.
+the selected object tokens. One shared filter and fusion serve every
+view: the view is a batch axis ([B, V, ...]), so each view's object
+tokens attend to that view's spatial tokens only.
 
 Selection is a hard, non-differentiable index set: gradients flow through
 the selected token values only, never through the scores. W_t therefore
@@ -17,6 +19,7 @@ from .blocks import CrossAttnLayer, Module
 from .config import AlignerConfig
 from .tensor import ContractError, Tensor, gather_rows
 from .types import SelectionResult, TokenSet
+from .world import VIEW_NAMES
 
 
 def score_tokens(z_sem: TokenSet, t: Tensor, w_t: Tensor) -> np.ndarray:
@@ -29,6 +32,9 @@ def score_tokens(z_sem: TokenSet, t: Tensor, w_t: Tensor) -> np.ndarray:
         raise ContractError(f"score_tokens expects role=sem, got {z_sem.role!r}")
     tokens = z_sem.tokens.data                       # [..., N, d]
     proj = np.matmul(t.data, w_t.data)               # [..., d]
+    # broadcast over the axes between t's batch dims and N (the view axis)
+    extra = tokens.ndim - 1 - proj.ndim
+    proj = proj.reshape(*proj.shape[:-1], *(1,) * extra, proj.shape[-1])
     tn = np.linalg.norm(tokens, axis=-1)             # [..., N]
     pn = np.linalg.norm(proj, axis=-1)               # [...]
     dots = np.einsum("...nd,...d->...n", tokens, proj)
@@ -48,14 +54,7 @@ def es_select(z_sem: TokenSet, t: Tensor, w_t: Tensor, k: int) -> SelectionResul
     # stable sort on -score keeps ascending original index among ties
     order = np.argsort(-scores, axis=-1, kind="stable")
     idx = order[..., :k]
-    selected = gather_rows(z_sem.tokens, idx)
-    src_index = (np.broadcast_to(z_sem.patch_index, scores.shape)
-                 if z_sem.patch_index is not None else
-                 np.broadcast_to(np.arange(n), scores.shape))
-    sel_patch = np.take_along_axis(src_index, idx, axis=-1)
-    return SelectionResult(
-        indices=idx, scores=scores,
-        selected=TokenSet(selected, role="sem", view=z_sem.view, patch_index=sel_patch))
+    return SelectionResult(idx, TokenSet(gather_rows(z_sem.tokens, idx), role="sem"))
 
 
 class SingleFusion(Module):
@@ -69,13 +68,11 @@ class SingleFusion(Module):
             for i in range(cfg.n_layers)]
 
     def __call__(self, z_obj: TokenSet, z_3d: TokenSet) -> TokenSet:
-        if z_obj.view != z_3d.view:
-            raise ContractError(
-                f"single_fusion is per-view: got views {z_obj.view!r} vs {z_3d.view!r}")
+        """q [..., K, d] attends to kv [..., P, d] with the same leading axes."""
         q = z_obj.tokens
         for layer in self.layers:
             q = layer(q, z_3d.tokens)
-        return TokenSet(q, role="obj3d", view=z_obj.view, patch_index=z_obj.patch_index)
+        return TokenSet(q, role="obj3d")
 
 
 class CVAligner(Module):
@@ -89,14 +86,14 @@ class CVAligner(Module):
                                   trainable=False)
         self.fusion = self.add_module("fusion", SingleFusion(rng, cfg, d_v))
 
-    def align_views(self, z_sem: dict[str, TokenSet], t: Tensor,
-                    z_3d: dict[str, TokenSet]) -> tuple[dict[str, TokenSet], dict[str, SelectionResult]]:
-        """Per-view selection + fusion; returns (view -> obj3d tokens, view -> selection)."""
-        out, sels = {}, {}
-        for view in z_sem:
-            sel = es_select(z_sem[view], t, self.w_t, self.cfg.k)
-            obj = TokenSet(sel.selected.tokens, role="sem", view=view,
-                           patch_index=sel.selected.patch_index)
-            out[view] = self.fusion(obj, z_3d[view])
-            sels[view] = sel
-        return out, sels
+    def align_views(self, z_sem: TokenSet, t: Tensor,
+                    z_3d: TokenSet) -> tuple[TokenSet, dict[str, SelectionResult]]:
+        """Selection + fusion over every view at once.
+
+        z_sem, z_3d: [B, V, P, d]; t: [B, d_t]. Returns (obj3d tokens
+        [B, V, K, d], view name -> selection with indices [B, K]).
+        """
+        sel = es_select(z_sem, t, self.w_t, self.cfg.k)
+        views = VIEW_NAMES[:sel.indices.shape[-2]]
+        return self.fusion(sel.selected, z_3d), {
+            name: SelectionResult(sel.indices[..., i, :]) for i, name in enumerate(views)}

@@ -11,10 +11,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .config import AuditConfig, paper_dims_audit
+from .config import AuditConfig, FullConfig, paper_dims_audit
 from .tensor import ConfigError
 
 REPORT_VERSION = 1
+
+
+def config_audit(cfg: FullConfig) -> AuditConfig:
+    """Audit dims of the network `cfg` builds (the toy config gives AuditConfig())."""
+    th = cfg.thinker
+    return AuditConfig(
+        patches_per_view=cfg.world.n_patches, n_views=cfg.n_views,
+        k_obj=cfg.aligner.k, n_agg=cfg.fuser.n_agg, n_instr=th.n_instr_tokens,
+        n_dyn=cfg.n_views * th.n_dyn_per_view, n_dep=th.n_dep,
+        n_action=cfg.world.chunk, d_model=th.d_model, d_ff=th.d_ff,
+        n_layers=th.n_layers)
 
 
 def resolve_preset(preset: str) -> AuditConfig:

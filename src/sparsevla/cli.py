@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .audit import audit_budget, audit_flops, resolve_preset
+from .audit import audit_budget, audit_flops, config_audit, resolve_preset
 from .config import FullConfig, load_config, micro_config, toy_config
 from .fuser import build_bc_mask
 from .model import VLAModel
@@ -103,7 +103,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_audit_budget(args) -> int:
-    a = resolve_preset(args.preset) if args.preset else _load_cfg(args).audit
+    a = resolve_preset(args.preset) if args.preset else config_audit(_load_cfg(args))
     report = audit_budget(a)
     _write_json(args.out, report)
     r = report["ratios"]
@@ -113,7 +113,7 @@ def cmd_audit_budget(args) -> int:
 
 
 def cmd_audit_flops(args) -> int:
-    a = resolve_preset(args.preset) if args.preset else _load_cfg(args).audit
+    a = resolve_preset(args.preset) if args.preset else config_audit(_load_cfg(args))
     report = audit_flops(a)
     _write_json(args.out, report)
     m = report["macs"]

@@ -1,7 +1,7 @@
 """Dataclass configuration for the whole stack, with JSON round-tripping.
 
 A FullConfig nests one sub-config per subsystem under the keys
-{world, encoders, aligner, fuser, thinker, train, audit}. Named presets:
+{world, encoders, aligner, fuser, thinker, train}. Named presets:
 
   toy         - desk-scale trainable defaults (16x16 images, d=32)
   micro       - 2-view miniature used for finite-difference gradient checks
@@ -34,7 +34,6 @@ class WorldConfig:
     explore_noise: float = 0.4   # action noise during data collection
     horizon: int = 32
     chunk: int = 8           # action chunk length K
-    action_dim: int = 2      # planar velocity
 
     @property
     def patches_per_side(self) -> int:
@@ -53,7 +52,6 @@ class EncoderConfig:
     n_layers_sem: int = 2
     n_layers_geo: int = 2    # L': geometric / spatial3d depth
     d_ff: int = 64
-    n_instructions: int = 4
 
 
 @dataclass
@@ -109,7 +107,8 @@ class TrainConfig:
 
 @dataclass
 class AuditConfig:
-    preset: str = "toy"          # toy | paper-dims
+    """Audit dimensions; `audit.config_audit` derives them from a FullConfig."""
+    preset: str = "toy"          # toy (a trainable network's dims) | paper-dims
     # token budgets (per the dimension preset)
     patches_per_view: int = 16
     n_views: int = 3
@@ -134,7 +133,6 @@ class FullConfig:
     fuser: FuserConfig = field(default_factory=FuserConfig)
     thinker: ThinkerConfig = field(default_factory=ThinkerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    audit: AuditConfig = field(default_factory=AuditConfig)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -148,7 +146,7 @@ class FullConfig:
     def arch_hash(self) -> str:
         """Hash of the sections that determine parameter shapes and wiring.
 
-        Train/audit settings are excluded so a checkpoint stays loadable
+        Train settings are excluded so a checkpoint stays loadable
         when only optimization settings (steps, lr) differ.
         """
         d = self.to_dict()
@@ -165,7 +163,6 @@ _SECTIONS = {
     "fuser": FuserConfig,
     "thinker": ThinkerConfig,
     "train": TrainConfig,
-    "audit": AuditConfig,
 }
 
 
@@ -198,6 +195,9 @@ def load_config(path: str) -> FullConfig:
 def validate(cfg: FullConfig) -> None:
     if not 1 <= cfg.n_views <= 3:
         raise ConfigError(f"n_views must be 1..3, got {cfg.n_views}")
+    from .world import COLORS  # deferred: world imports this module
+    if not 2 <= cfg.world.n_colors <= len(COLORS):
+        raise ConfigError(f"world.n_colors must be 2..{len(COLORS)}, got {cfg.world.n_colors}")
     if cfg.world.image_size % cfg.world.patch_size:
         raise ConfigError("image_size must be divisible by patch_size")
     if cfg.aligner.k > cfg.world.n_patches:

@@ -46,7 +46,7 @@ def group_fuse(z_geo: TokenSet, z_3d: TokenSet, l: int, sched: AlphaSchedule) ->
             f"group_fuse shape mismatch: {z_geo.tokens.shape} vs {z_3d.tokens.shape}")
     a = alpha(l, sched)
     fused = z_geo.tokens * (1.0 - a) + z_3d.tokens * a
-    return TokenSet(fused, role="geo3d", view=z_geo.view, patch_index=z_geo.patch_index)
+    return TokenSet(fused, role="geo3d")
 
 
 def build_bc_mask(n_geo_per_view: int, n_views: int, n_agg: int,
@@ -87,8 +87,7 @@ def ig_aggregate(z_geo3d: TokenSet, agg: Tensor, block: TransformerLayer,
     y = block(x, mask=mask)
     geo_out = narrow(y, -2, 0, n_geo)
     agg_out = narrow(y, -2, n_geo, n_agg)
-    return TokenSet(geo_out, role="geo3d", view=z_geo3d.view,
-                    patch_index=z_geo3d.patch_index), agg_out
+    return TokenSet(geo_out, role="geo3d"), agg_out
 
 
 class COFuser(Module):

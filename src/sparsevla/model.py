@@ -15,10 +15,10 @@ from .config import FullConfig
 from .encoders import (GeometricEncoder, InstructionTable, SemanticEncoder,
                        Spatial3DEncoder, patchify)
 from .fuser import COFuser
-from .tensor import Tensor, concat, narrow, reshape
+from .tensor import Tensor, concat, reshape
 from .thinker import CSThinker, loss_action, loss_dep4d, loss_dyn4d, total_loss
 from .types import TokenSet
-from .world import VIEW_NAMES, oracle_dyn_targets
+from .world import ACTION_DIM, oracle_dyn_targets
 
 
 class VLAModel(Module):
@@ -29,8 +29,9 @@ class VLAModel(Module):
         wc, ec = cfg.world, cfg.encoders
         patch_dim = wc.patch_size * wc.patch_size * 3
         self.n_views = cfg.n_views
+        # instruction ids are target colour ids
         self.instructions = self.add_module(
-            "instruction", InstructionTable(rng, ec.n_instructions, ec.d_t))
+            "instruction", InstructionTable(rng, wc.n_colors, ec.d_t))
         self.semantic = self.add_module(
             "semantic", SemanticEncoder(rng, ec, patch_dim, wc.n_patches))
         # the geometric stream sees pixels plus per-patch depth and entity
@@ -48,7 +49,7 @@ class VLAModel(Module):
         self.thinker = self.add_module(
             "thinker", CSThinker(rng, cfg.thinker, cfg.n_views, cfg.aligner.k,
                                  cfg.fuser.n_agg, ec.d_v, ec.d_t, wc.chunk,
-                                 wc.action_dim, wc.n_patches))
+                                 ACTION_DIM, wc.n_patches))
 
     # -- forward ----------------------------------------------------------
 
@@ -57,7 +58,7 @@ class VLAModel(Module):
 
         batch keys: views [B,V,S,S,3], depth_patch [B,V,P],
         obj_channels [B,V,P,C], instruction_id [B].
-        Returns (obj3d token sets per view, agg token set, t, selections).
+        Returns (obj3d tokens [B,V,K,d], agg token set, t, view -> selection).
         """
         wc = self.cfg.world
         views = np.asarray(batch["views"])[:, :self.n_views]
@@ -72,15 +73,10 @@ class VLAModel(Module):
         geo_feats = self.geometric(geo_in)                     # list [B,V,P,d]
         sp_feats, sp_final = self.spatial(patches, depth, obj_ch)
 
-        d = z_sem.shape[-1]
-        sem_sets, sp_sets = {}, {}
-        for i, name in enumerate(VIEW_NAMES[:v]):
-            sem_sets[name] = TokenSet(
-                reshape(narrow(z_sem, 1, i, 1), (b, p, d)), role="sem", view=name)
-            sp_sets[name] = TokenSet(
-                reshape(narrow(sp_final, 1, i, 1), (b, p, d)), role="spatial3d", view=name)
-        obj3d, sels = self.aligner.align_views(sem_sets, t, sp_sets)
+        obj3d, sels = self.aligner.align_views(
+            TokenSet(z_sem, role="sem"), t, TokenSet(sp_final, role="spatial3d"))
 
+        d = z_sem.shape[-1]
         geo_joint = [TokenSet(reshape(f, (b, v * p, d)), role="geo") for f in geo_feats]
         sp_joint = [TokenSet(f, role="spatial3d")
                     for f in sp_feats[:len(self.fuser.blocks)]]
@@ -89,8 +85,7 @@ class VLAModel(Module):
 
     def forward(self, batch: dict, run_aux: bool = True) -> dict:
         obj3d, agg, t, sels = self.encode(batch)
-        ordered = [obj3d[name] for name in VIEW_NAMES[:self.n_views]]
-        out = self.thinker(ordered, agg, t, run_aux=run_aux)
+        out = self.thinker(obj3d, agg, t, run_aux=run_aux)
         out["selections"] = sels
         return out
 

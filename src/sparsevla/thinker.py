@@ -234,20 +234,20 @@ class CSThinker(Module):
             for v in range(n_views)]
         self.action_head = self.add_module("action_head", Linear(rng, d, action_dim))
 
-    def sc_forward(self, obj3d: list[TokenSet], agg: TokenSet, t: Tensor) -> dict[str, Tensor]:
-        """One parallel pass; returns output states per segment name."""
-        lay = self.layout
+    def sc_forward(self, obj3d: TokenSet, agg: TokenSet, t: Tensor) -> dict[str, Tensor]:
+        """One parallel pass; returns output states per segment name.
+
+        obj3d: [..., V, K, d_v]; its V*K rows are the obj:M/L/R segments in order.
+        """
+        lay, d = self.layout, self.cfg.d_model
         lead = agg.tokens.shape[:-2]
-        parts = [self.proj_obj(ts.tokens) for ts in obj3d]
-        parts.append(self.proj_agg(agg.tokens))
+        obj = self.proj_obj(obj3d.tokens)
         instr = self.proj_instr(t)
-        parts.append(reshape(instr, (*instr.shape[:-1], lay.n_instr, self.cfg.d_model)))
-        for v in range(lay.n_views):
-            q_v = reshape(narrow(self.q_dyn, 0, v, 1), self.q_dyn.shape[1:])
-            parts.append(_tile_batch(q_v, lead))
-        parts.append(_tile_batch(self.q_dep, lead))
-        parts.append(_tile_batch(self.q_act, lead))
-        x = concat(parts, axis=-2)
+        # q_dyn's V*n_dyn rows are the dyn:M/L/R segments in order
+        queries = concat([reshape(self.q_dyn, (-1, d)), self.q_dep, self.q_act], axis=0)
+        x = concat([reshape(obj, (*lead, -1, d)), self.proj_agg(agg.tokens),
+                    reshape(instr, (*instr.shape[:-1], lay.n_instr, d)),
+                    _tile_batch(queries, lead)], axis=-2)
         if x.shape[-2] != lay.total():
             raise ContractError(f"sequence length {x.shape[-2]} != layout {lay.total()}")
         for layer in self.sc_layers:
@@ -270,7 +270,7 @@ class CSThinker(Module):
     def decode_action(self, states: dict[str, Tensor]) -> Tensor:
         return self.action_head(states["action"])
 
-    def __call__(self, obj3d: list[TokenSet], agg: TokenSet, t: Tensor,
+    def __call__(self, obj3d: TokenSet, agg: TokenSet, t: Tensor,
                  run_aux: bool = True) -> dict:
         states = self.sc_forward(obj3d, agg, t)
         out = {"action": self.decode_action(states), "states": states}

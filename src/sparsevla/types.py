@@ -1,4 +1,4 @@
-"""Shared domain types: tagged token sets and selection results."""
+"""Shared domain types: role-tagged token sets and selection results."""
 
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ ROLES = ("sem", "geo", "spatial3d", "obj3d", "geo3d", "agg3d",
 
 @dataclass
 class TokenSet:
-    """A token matrix [..., N, d] tagged with view identity and role."""
+    """A token matrix [..., N, d] tagged with its role.
+
+    Multi-view sets carry the view as a tensor axis: [B, V, N, d].
+    """
     tokens: Tensor
     role: str
-    view: str | None = None
-    patch_index: np.ndarray | None = None
 
     def __post_init__(self):
         if self.role not in ROLES:
@@ -35,7 +36,6 @@ class TokenSet:
 
 @dataclass
 class SelectionResult:
-    """Top-K retention outcome for one view."""
-    indices: np.ndarray   # [..., K], descending score, ties by ascending index
-    scores: np.ndarray    # [..., N], cosine scores for every token
-    selected: TokenSet    # role=obj, K tokens
+    """Top-K retention outcome."""
+    indices: np.ndarray              # [..., K], descending score, ties by ascending index
+    selected: TokenSet | None = None  # the K gathered tokens; None in a per-view split

@@ -22,6 +22,7 @@ from .config import WorldConfig
 from .tensor import ContractError
 
 FORMAT_VERSION = 1
+ACTION_DIM = 2  # planar gripper velocity
 
 # palette: object colors first, gripper last
 COLORS = np.array([
@@ -108,15 +109,24 @@ def is_success(scene: Scene, cfg: WorldConfig) -> bool:
 # rendering
 
 
-def _pixel_centers(size: int) -> np.ndarray:
-    return (np.arange(size) + 0.5) / size
+def _pixel_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-centre coordinates (xx, yy), each [S,S]; xx varies along columns."""
+    px = (np.arange(size) + 0.5) / size
+    return tuple(np.meshgrid(px, px, indexing="xy"))
 
 
-def _view_depth_base(view: int, size: int) -> np.ndarray:
-    px = _pixel_centers(size)
-    xx, yy = np.meshgrid(px, px, indexing="xy")  # xx varies along columns
+def _footprint(center, half: float, view: int, grid) -> np.ndarray:
+    """Boolean [S,S]: the pixels an axis-aligned square covers in one view."""
+    A, b = VIEW_AFFINES[view]
+    c = A @ np.asarray(center) + b
+    xx, yy = grid
+    return (np.abs(xx - c[0]) <= half) & (np.abs(yy - c[1]) <= half)
+
+
+def _view_depth_base(view: int, grid) -> np.ndarray:
+    xx, yy = grid
     if view == 0:
-        return np.full((size, size), 2.0)
+        return np.full(xx.shape, 2.0)
     if view == 1:
         return 1.7 + 0.6 * xx
     return 1.7 + 0.6 * yy
@@ -129,18 +139,16 @@ def render_view(scene: Scene, view: int, cfg: WorldConfig):
     Image rows index y, columns index x.
     """
     size = cfg.image_size
-    A, b = VIEW_AFFINES[view]
+    grid = _pixel_grid(size)
     img = np.zeros((size, size, 3))
-    depth = _view_depth_base(view, size).copy()
+    base = _view_depth_base(view, grid)
+    depth = base.copy()
     ids = np.full((size, size), -1, dtype=int)
-    px = _pixel_centers(size)
-    xx, yy = np.meshgrid(px, px, indexing="xy")
 
     def draw(center, half, color_rgb, ent_id, height):
-        c = A @ np.asarray(center) + b
-        cover = (np.abs(xx - c[0]) <= half) & (np.abs(yy - c[1]) <= half)
+        cover = _footprint(center, half, view, grid)
         img[cover] = color_rgb
-        depth[cover] = _view_depth_base(view, size)[cover] - height
+        depth[cover] = base[cover] - height
         ids[cover] = ent_id
 
     order = [i for i in range(len(scene.objects)) if i != scene.target_idx]
@@ -153,9 +161,10 @@ def render_view(scene: Scene, view: int, cfg: WorldConfig):
 
 
 def patch_reduce(grid: np.ndarray, patch: int) -> np.ndarray:
-    """Mean-pool [S,S] -> flat [P] in patch-row-major order."""
-    g = grid.shape[0] // patch
-    return grid.reshape(g, patch, g, patch).mean(axis=(1, 3)).reshape(-1)
+    """Mean-pool [..., S, S] -> flat [..., P] in patch-row-major order."""
+    *lead, s, _ = grid.shape
+    g = s // patch
+    return grid.reshape(*lead, g, patch, g, patch).mean(axis=(-3, -1)).reshape(*lead, g * g)
 
 
 def object_channels(scene: Scene, view: int, cfg: WorldConfig) -> np.ndarray:
@@ -167,34 +176,19 @@ def object_channels(scene: Scene, view: int, cfg: WorldConfig) -> np.ndarray:
     id-map-based channel would blind the policy exactly then.)
     """
     size = cfg.image_size
-    A, b = VIEW_AFFINES[view]
-    px = _pixel_centers(size)
-    xx, yy = np.meshgrid(px, px, indexing="xy")
-
-    def cover(center, half):
-        c = A @ np.asarray(center) + b
-        return ((np.abs(xx - c[0]) <= half) & (np.abs(yy - c[1]) <= half)).astype(float)
-
-    chans = []
-    for color in range(cfg.n_colors):
-        cov = np.zeros((size, size))
-        for o in scene.objects:
-            if o.color == color:
-                cov = np.maximum(cov, cover(o.pos, o.half))
-        chans.append(patch_reduce(cov, cfg.patch_size))
-    chans.append(patch_reduce(cover(scene.gripper, cfg.gripper_half), cfg.patch_size))
-    return np.stack(chans, axis=-1)
+    grid = _pixel_grid(size)
+    cover = np.zeros((cfg.n_colors + 1, size, size), dtype=bool)
+    for o in scene.objects:
+        cover[o.color] |= _footprint(o.pos, o.half, view, grid)
+    cover[-1] = _footprint(scene.gripper, cfg.gripper_half, view, grid)
+    return patch_reduce(cover.astype(float), cfg.patch_size).T
 
 
 def target_patch_mask(scene: Scene, view: int, cfg: WorldConfig) -> np.ndarray:
     """Boolean [P]: patches whose footprint overlaps the target object."""
-    size, patch = cfg.image_size, cfg.patch_size
-    A, b = VIEW_AFFINES[view]
-    c = A @ scene.target.pos + b
-    px = _pixel_centers(size)
-    xx, yy = np.meshgrid(px, px, indexing="xy")
-    cover = (np.abs(xx - c[0]) <= scene.target.half) & (np.abs(yy - c[1]) <= scene.target.half)
-    return patch_reduce(cover.astype(float), patch) > 0
+    t = scene.target
+    cover = _footprint(t.pos, t.half, view, _pixel_grid(cfg.image_size))
+    return patch_reduce(cover.astype(float), cfg.patch_size) > 0
 
 
 def observe(scene: Scene, cfg: WorldConfig, n_views: int = 3) -> dict:

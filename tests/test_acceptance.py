@@ -141,15 +141,16 @@ def test_criterion_04_isolation_invariants():
     n_ok = 0
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
-        obj = [TokenSet(Tensor(rng.normal(size=(1, 2, 8))), role="obj3d", view=v)
-               for v in ("M", "L", "R")]
+        # views M, L, R on axis 1 of [B, V, K, d_v]
+        obj = TokenSet(Tensor(np.stack([rng.normal(size=(1, 2, 8)) for _ in "MLR"], axis=1)),
+                       role="obj3d")
         agg = TokenSet(Tensor(rng.normal(size=(1, 4, 8))), role="agg3d")
         t = Tensor(rng.normal(size=(1, 4)))
         base = th.sc_forward(obj, agg, t)
 
         # (a) obj perturbation leaves dep outputs unchanged
-        obj_p = [TokenSet(Tensor(o.tokens.data + rng.normal(size=(1, 2, 8))),
-                          role="obj3d", view=o.view) for o in obj]
+        obj_p = TokenSet(Tensor(obj.tokens.data + np.stack(
+            [rng.normal(size=(1, 2, 8)) for _ in "MLR"], axis=1)), role="obj3d")
         s = th.sc_forward(obj_p, agg, t)
         np.testing.assert_array_equal(base["dep"].data, s["dep"].data)
 
@@ -161,8 +162,10 @@ def test_criterion_04_isolation_invariants():
             np.testing.assert_array_equal(base[f"dyn:{v}"].data, s[f"dyn:{v}"].data)
 
         # (c) obj(L/R) perturbation leaves dyn(M) unchanged
-        obj_lr = [obj[0]] + [TokenSet(Tensor(o.tokens.data + rng.normal(size=(1, 2, 8))),
-                                      role="obj3d", view=o.view) for o in obj[1:]]
+        lr = obj.tokens.data.copy()
+        for v in (1, 2):
+            lr[:, v] += rng.normal(size=(1, 2, 8))
+        obj_lr = TokenSet(Tensor(lr), role="obj3d")
         s = th.sc_forward(obj_lr, agg, t)
         np.testing.assert_array_equal(base["dyn:M"].data, s["dyn:M"].data)
 
@@ -240,7 +243,7 @@ def test_criterion_07_token_selection_oracle():
         toks = rng.normal(size=(n, d))
         if rng.random() < 0.3:  # force score ties via duplicated tokens
             toks[rng.integers(n)] = toks[rng.integers(n)]
-        z = TokenSet(Tensor(toks), role="sem", view="M")
+        z = TokenSet(Tensor(toks), role="sem")
         t = Tensor(rng.normal(size=(dt,)))
         w = Tensor(rng.normal(size=(dt, d)))
         sel = es_select(z, t, w, k)
@@ -266,8 +269,8 @@ def test_criterion_08_action_invariant_to_aux_decoders():
     n_ok = 0
     for seed in range(50):
         rng = np.random.default_rng(2000 + seed)
-        obj = [TokenSet(Tensor(rng.normal(size=(1, 2, 8))), role="obj3d", view=v)
-               for v in ("M", "L", "R")]
+        obj = TokenSet(Tensor(np.stack([rng.normal(size=(1, 2, 8)) for _ in "MLR"], axis=1)),
+                       role="obj3d")
         agg = TokenSet(Tensor(rng.normal(size=(1, 4, 8))), role="agg3d")
         t = Tensor(rng.normal(size=(1, 4)))
         a_full = th(obj, agg, t, run_aux=True)["action"].data

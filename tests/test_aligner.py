@@ -10,7 +10,7 @@ from sparsevla.types import TokenSet
 
 
 def _sem(arr):
-    return TokenSet(Tensor(np.asarray(arr, dtype=float)), role="sem", view="M")
+    return TokenSet(Tensor(np.asarray(arr, dtype=float)), role="sem")
 
 
 def test_score_tokens_aligned_and_orthogonal():
@@ -52,7 +52,6 @@ def test_es_select_simple_topk():
     # cosines: 1.0, 1.0, 0.707.., -1.0 -> indices 0 and 1 (tie by index)
     np.testing.assert_array_equal(sel.indices, [0, 1])
     np.testing.assert_array_equal(sel.selected.tokens.data, [[2.0, 0.0], [0.5, 0.0]])
-    np.testing.assert_array_equal(sel.selected.patch_index, [0, 1])
 
 
 def test_es_select_tie_break_ascending_index():
@@ -103,7 +102,7 @@ def test_es_select_gradient_only_through_selected():
     toks = parameter(np.array([[3.0, 0.0], [0.1, 0.0], [1.0, 0.0]]))
     t, w_t = Tensor(np.array([1.0])), parameter(np.array([[1.0, 0.0]]))
     with Tape() as tape:
-        sel = es_select(TokenSet(toks, role="sem", view="M"), t, w_t, k=2)
+        sel = es_select(TokenSet(toks, role="sem"), t, w_t, k=2)
         loss = tsum(sel.selected.tokens)
     grads = backward(loss, tape)
     g = grad_of(grads, toks)
@@ -112,15 +111,6 @@ def test_es_select_gradient_only_through_selected():
     np.testing.assert_array_equal(g, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     # hard selection: the score projection receives no gradient at all
     np.testing.assert_array_equal(grad_of(grads, w_t), [[0.0, 0.0]])
-
-
-def test_single_fusion_rejects_view_mismatch():
-    rng = np.random.default_rng(1)
-    fusion = SingleFusion(rng, AlignerConfig(n_heads=1, d_ff=8), 4)
-    a = TokenSet(Tensor(np.ones((2, 4))), role="sem", view="M")
-    b = TokenSet(Tensor(np.ones((3, 4))), role="spatial3d", view="L")
-    with pytest.raises(ContractError, match="per-view"):
-        fusion(a, b)
 
 
 def test_single_fusion_residual_identity_with_zero_value_path():
@@ -132,8 +122,8 @@ def test_single_fusion_residual_identity_with_zero_value_path():
     layer.ffn.w2.w.data[:] = 0.0
     layer.ffn.w2.b.data[:] = 0.0
     q = rng.normal(size=(2, 4))
-    kv = TokenSet(Tensor(rng.normal(size=(5, 4))), role="spatial3d", view="M")
-    out = fusion(TokenSet(Tensor(q), role="sem", view="M"), kv)
+    kv = TokenSet(Tensor(rng.normal(size=(5, 4))), role="spatial3d")
+    out = fusion(TokenSet(Tensor(q), role="sem"), kv)
     np.testing.assert_array_equal(out.tokens.data, q)
     assert out.role == "obj3d"
 
@@ -143,17 +133,17 @@ def test_cv_aligner_per_view_independence():
     rng = np.random.default_rng(3)
     cfg = AlignerConfig(k=2, n_heads=1, d_ff=8)
     aligner = CVAligner(rng, cfg, d_t=3, d_v=4)
-    t = Tensor(rng.normal(size=(3,)))
-    sem = {v: TokenSet(Tensor(rng.normal(size=(6, 4))), role="sem", view=v)
-           for v in ("M", "L")}
-    sp_a = {v: TokenSet(Tensor(rng.normal(size=(6, 4))), role="spatial3d", view=v)
-            for v in ("M", "L")}
-    sp_b = {"M": sp_a["M"],
-            "L": TokenSet(Tensor(rng.normal(size=(6, 4))), role="spatial3d", view="L")}
-    out_a, _ = aligner.align_views(sem, t, sp_a)
-    out_b, _ = aligner.align_views(sem, t, sp_b)
-    np.testing.assert_array_equal(out_a["M"].tokens.data, out_b["M"].tokens.data)
-    assert not np.array_equal(out_a["L"].tokens.data, out_b["L"].tokens.data)
+    # views M, L stacked on axis 1 of [B=1, V=2, P=6, d=4]
+    t = Tensor(rng.normal(size=(1, 3)))
+    sem = TokenSet(Tensor(np.stack([rng.normal(size=(6, 4)) for _ in "ML"])[None]),
+                   role="sem")
+    sp_a = np.stack([rng.normal(size=(6, 4)) for _ in "ML"])[None]
+    sp_b = sp_a.copy()
+    sp_b[:, 1] = rng.normal(size=(6, 4))
+    out_a, _ = aligner.align_views(sem, t, TokenSet(Tensor(sp_a), role="spatial3d"))
+    out_b, _ = aligner.align_views(sem, t, TokenSet(Tensor(sp_b), role="spatial3d"))
+    np.testing.assert_array_equal(out_a.tokens.data[:, 0], out_b.tokens.data[:, 0])
+    assert not np.array_equal(out_a.tokens.data[:, 1], out_b.tokens.data[:, 1])
 
 
 def test_cv_aligner_batched_selection_shapes():
@@ -161,8 +151,25 @@ def test_cv_aligner_batched_selection_shapes():
     cfg = AlignerConfig(k=2, n_heads=1, d_ff=8)
     aligner = CVAligner(rng, cfg, d_t=3, d_v=4)
     t = Tensor(rng.normal(size=(5, 3)))
-    sem = {"M": TokenSet(Tensor(rng.normal(size=(5, 6, 4))), role="sem", view="M")}
-    sp = {"M": TokenSet(Tensor(rng.normal(size=(5, 6, 4))), role="spatial3d", view="M")}
+    # one view: [B=5, V=1, P=6, d=4]
+    sem = TokenSet(Tensor(rng.normal(size=(5, 6, 4))[:, None]), role="sem")
+    sp = TokenSet(Tensor(rng.normal(size=(5, 6, 4))[:, None]), role="spatial3d")
     out, sels = aligner.align_views(sem, t, sp)
-    assert out["M"].tokens.shape == (5, 2, 4)
+    assert out.tokens.shape == (5, 1, 2, 4)
     assert sels["M"].indices.shape == (5, 2)
+
+
+def test_cv_aligner_matches_per_view_calls():
+    # one call over [B, V, P, d] equals selection + fusion run view by view
+    rng = np.random.default_rng(5)
+    aligner = CVAligner(rng, AlignerConfig(k=2, n_heads=2, d_ff=8), d_t=3, d_v=4)
+    t = Tensor(rng.normal(size=(4, 3)))
+    sem, sp = rng.normal(size=(2, 4, 3, 6, 4))
+    out, sels = aligner.align_views(TokenSet(Tensor(sem), role="sem"), t,
+                                    TokenSet(Tensor(sp), role="spatial3d"))
+    assert list(sels) == ["M", "L", "R"]
+    for v, name in enumerate(sels):
+        sel = es_select(TokenSet(Tensor(sem[:, v]), role="sem"), t, aligner.w_t, 2)
+        ref = aligner.fusion(sel.selected, TokenSet(Tensor(sp[:, v]), role="spatial3d"))
+        np.testing.assert_array_equal(sels[name].indices, sel.indices)
+        np.testing.assert_array_equal(out.tokens.data[:, v], ref.tokens.data)

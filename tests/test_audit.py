@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from sparsevla.audit import (audit_budget, audit_flops, layer_macs,
+from sparsevla.audit import (audit_budget, audit_flops, config_audit, layer_macs,
                              resolve_preset, sequence_length, stack_macs)
-from sparsevla.config import AuditConfig, paper_dims_audit
+from sparsevla.config import AuditConfig, micro_config, paper_dims_audit, toy_config
+from sparsevla.model import VLAModel
 from sparsevla.tensor import ConfigError
 
 
@@ -13,6 +14,19 @@ def test_resolve_presets():
     assert resolve_preset("paper-dims").preset == "paper-dims"
     with pytest.raises(ConfigError):
         resolve_preset("mega")
+
+
+def test_toy_config_derives_default_audit():
+    assert config_audit(toy_config()) == AuditConfig()
+
+
+@pytest.mark.parametrize("make_cfg", [toy_config, micro_config])
+def test_config_audit_matches_built_thinker(make_cfg):
+    cfg = make_cfg()
+    a, th = config_audit(cfg), VLAModel(cfg).thinker
+    assert sequence_length(a) == th.layout.total()
+    assert (a.d_model, a.d_ff, a.n_layers) == (th.cfg.d_model, th.cfg.d_ff,
+                                               len(th.sc_layers))
 
 
 def test_sequence_lengths_paper_dims():

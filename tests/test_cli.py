@@ -187,3 +187,52 @@ def test_config_file_with_removed_train_dtype(tmp_path, capsys):
     bad.write_text(json.dumps({"train": {"dtype": "float32"}}))
     code, _, err = run(capsys, "audit-budget", "--config", str(bad))
     assert code == 1 and "unknown" in err and "dtype" in err
+
+
+@pytest.mark.parametrize("section,key", [("encoders", "n_instructions"),
+                                         ("world", "action_dim")])
+def test_config_file_with_removed_derived_value(tmp_path, capsys, section, key):
+    # instruction count is world.n_colors; the action width is world.ACTION_DIM
+    bad = tmp_path / f"{key}.json"
+    bad.write_text(json.dumps({section: {key: 3}}))
+    code, _, err = run(capsys, "audit-budget", "--config", str(bad))
+    assert code == 1 and "unknown" in err and key in err
+
+
+@pytest.mark.parametrize("n_colors", [1, 7])
+def test_gen_data_rejects_n_colors_outside_palette(tmp_path, capsys, n_colors):
+    cfgp = tmp_path / "colors.json"
+    cfgp.write_text(json.dumps({"world": {"n_colors": n_colors}}))
+    out = tmp_path / "d.jsonl"
+    code, _, err = run(capsys, "gen-data", "--config", str(cfgp), "--episodes", "1",
+                       "--out", str(out))
+    assert code == 1 and "n_colors" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_with_audit_section(tmp_path, capsys):
+    bad = tmp_path / "audit.json"
+    bad.write_text(json.dumps({"audit": {"preset": "toy"}}))
+    code, _, err = run(capsys, "audit-flops", "--config", str(bad))
+    assert code == 1 and "unknown" in err and "audit" in err
+
+
+@pytest.mark.parametrize("edit,seq", [
+    pytest.param({"thinker": {"d_model": 64, "n_layers": 4}}, 39, id="thinker"),
+    pytest.param({"aligner": {"k": 4}}, 45, id="k4"),
+    pytest.param({"n_views": 2}, 33, id="two_views"),
+])
+def test_audits_follow_the_config(tmp_path, capsys, edit, seq):
+    from sparsevla.audit import stack_macs
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(edit))
+    flops, budget = str(tmp_path / "flops.json"), str(tmp_path / "budget.json")
+    assert run(capsys, "audit-flops", "--config", str(cfgp), "--out", flops)[0] == 0
+    assert run(capsys, "audit-budget", "--config", str(cfgp), "--out", budget)[0] == 0
+    rep, bud = json.load(open(flops)), json.load(open(budget))
+    th = {"d_model": 32, "d_ff": 64, "n_layers": 2, **edit.get("thinker", {})}
+    assert rep["sequence"]["with_e3d"] == seq == bud["tokens"]["sequence_total"]
+    assert rep["macs"]["with_e3d"] == stack_macs(seq, th["d_model"], th["d_ff"],
+                                                 th["n_layers"]) != 833_664
+    views = edit.get("n_views", 3)
+    assert bud["tokens"]["obj_total"] == views * edit.get("aligner", {}).get("k", 2)

@@ -160,9 +160,10 @@ def _thinker(seed=0):
 
 
 def _inputs(seed=1, b=2):
+    # object tokens of views M, L, R stacked on axis 1: [B, V, K, d_v]
     rng = np.random.default_rng(seed)
-    obj = [TokenSet(Tensor(rng.normal(size=(b, 2, 8))), role="obj3d", view=v)
-           for v in ("M", "L", "R")]
+    obj = TokenSet(Tensor(np.stack([rng.normal(size=(b, 2, 8)) for _ in "MLR"], axis=1)),
+                   role="obj3d")
     agg = TokenSet(Tensor(rng.normal(size=(b, 4, 8))), role="agg3d")
     t = Tensor(rng.normal(size=(b, 4)))
     return obj, agg, t
@@ -181,8 +182,8 @@ def test_dep_states_blind_to_obj_tokens():
     th = _thinker()
     obj, agg, t = _inputs()
     rng = np.random.default_rng(5)
-    obj2 = [TokenSet(Tensor(o.tokens.data + rng.normal(size=o.tokens.shape)),
-                     role="obj3d", view=o.view) for o in obj]
+    obj2 = TokenSet(Tensor(obj.tokens.data + rng.normal(size=obj.tokens.shape)),
+                    role="obj3d")
     s1 = th.sc_forward(obj, agg, t)
     s2 = th.sc_forward(obj2, agg, t)
     np.testing.assert_array_equal(s1["dep"].data, s2["dep"].data)
@@ -209,9 +210,9 @@ def test_dyn_view_isolation():
     th = _thinker()
     obj, agg, t = _inputs()
     rng = np.random.default_rng(7)
-    obj2 = [obj[0]] + [
-        TokenSet(Tensor(o.tokens.data + rng.normal(size=o.tokens.shape)),
-                 role="obj3d", view=o.view) for o in obj[1:]]
+    lr = obj.tokens.data.copy()
+    lr[:, 1:] += rng.normal(size=lr[:, 1:].shape)
+    obj2 = TokenSet(Tensor(lr), role="obj3d")
     s1 = th.sc_forward(obj, agg, t)
     s2 = th.sc_forward(obj2, agg, t)
     np.testing.assert_array_equal(s1["dyn:M"].data, s2["dyn:M"].data)
@@ -221,8 +222,7 @@ def test_dyn_view_isolation():
 def test_thinker_rejects_wrong_sequence_length():
     th = _thinker()
     obj, agg, t = _inputs()
-    bad_obj = [TokenSet(Tensor(np.zeros((2, 3, 8))), role="obj3d", view=v)
-               for v in ("M", "L", "R")]
+    bad_obj = TokenSet(Tensor(np.zeros((2, 3, 3, 8))), role="obj3d")
     with pytest.raises(ContractError, match="length"):
         th.sc_forward(bad_obj, agg, t)
 

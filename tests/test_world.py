@@ -158,6 +158,36 @@ def test_object_channels_footprint_coverage():
     assert (ch[:, 1:WC.n_colors] == 0.0).all()
 
 
+def test_object_channels_match_per_colour_loop():
+    # reference: per colour, the max over that colour's objects of each square's coverage
+    rng = np.random.default_rng(9)
+    px = (np.arange(WC.image_size) + 0.5) / WC.image_size
+    xx, yy = np.meshgrid(px, px, indexing="xy")
+
+    def cover(center, half, v):
+        A, b = VIEW_AFFINES[v]
+        c = A @ center + b
+        return ((np.abs(xx - c[0]) <= half) & (np.abs(yy - c[1]) <= half)).astype(float)
+
+    shared = 0
+    for _ in range(20):
+        scene, _ = sample_scene(rng, WC)
+        colors = [o.color for o in scene.objects]
+        shared += len(set(colors)) < len(colors)
+        for v in range(3):
+            want = []
+            for color in range(WC.n_colors):
+                cov = np.zeros((WC.image_size, WC.image_size))
+                for o in scene.objects:
+                    if o.color == color:
+                        cov = np.maximum(cov, cover(o.pos, o.half, v))
+                want.append(patch_reduce(cov, WC.patch_size))
+            want.append(patch_reduce(cover(scene.gripper, WC.gripper_half, v), WC.patch_size))
+            np.testing.assert_array_equal(object_channels(scene, v, WC),
+                                          np.stack(want, axis=-1))
+    assert shared > 0  # some scenes repeat a distractor colour
+
+
 def test_object_channels_ignore_gripper_occlusion():
     far = _scene(gripper=(0.1, 0.1), target=(0.53125, 0.53125))
     over = _scene(gripper=(0.53125, 0.53125), target=(0.53125, 0.53125))
