@@ -82,7 +82,10 @@ class MultiHeadAttention(Module):
         d_kv = d_kv if d_kv is not None else d_model
         self.d_model, self.n_heads, self.d_head = d_model, n_heads, d_model // n_heads
         self.wq = self.add_module("wq", Linear(rng, d_model, d_model, trainable=trainable))
-        self.wk = self.add_module("wk", Linear(rng, d_kv, d_model, trainable=trainable))
+        # no key bias: it adds q·b to every score in a query's row, and
+        # softmax cancels any shift shared by a row
+        self.wk = self.add_module("wk", Linear(rng, d_kv, d_model, bias=False,
+                                               trainable=trainable))
         self.wv = self.add_module("wv", Linear(rng, d_kv, d_model, trainable=trainable))
         self.wo = self.add_module("wo", Linear(rng, d_model, d_model, trainable=trainable))
 

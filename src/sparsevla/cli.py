@@ -50,7 +50,7 @@ def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     generate_dataset(args.out, seed=args.seed, n_episodes=args.episodes,
                      horizon=args.horizon, cfg=cfg.world,
-                     config_hash=cfg.config_hash())
+                     config_hash=cfg.config_hash(), n_views=cfg.n_views)
     print(f"wrote {args.episodes} episodes to {args.out} (seed {args.seed})")
     return 0
 

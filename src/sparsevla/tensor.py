@@ -294,11 +294,10 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
     def bwd(g):
         full = np.zeros(x.shape, dtype=g.dtype)
         flat = full.reshape(-1, *x.shape[-2:])
-        gi = g.reshape(-1, *g.shape[-2:])
         ii = idx.reshape(-1, idx.shape[-1])
-        for b in range(flat.shape[0]):
-            np.add.at(flat[b], ii[b], gi[b])
-        return (flat.reshape(x.shape),)
+        rows = np.arange(ii.shape[0])[:, None]
+        np.add.at(flat, (rows, ii), g.reshape(*ii.shape, g.shape[-1]))
+        return (full,)
 
     return _record(out, (x,), bwd)
 

@@ -183,7 +183,7 @@ class DynamicDecoder(Module):
 
 
 class DepthDecoder(Module):
-    """Maps the shared depth states to one view's per-patch depth."""
+    """Maps the shared depth states to per-patch depth (all views' patches)."""
 
     def __init__(self, rng, cfg: ThinkerConfig, n_dep: int, n_patches: int):
         super().__init__()
@@ -229,9 +229,8 @@ class CSThinker(Module):
             for i in range(cfg.n_layers)]
         self.dyn_decoder = self.add_module(
             "dyn_decoder", DynamicDecoder(rng, cfg, n_slots=k_obj, d_out=d_v))
-        self.depth_decoders = [self.add_module(
-            f"depth_decoder{v}", DepthDecoder(rng, cfg, cfg.n_dep, n_patches))
-            for v in range(n_views)]
+        self.depth_decoder = self.add_module(
+            "depth_decoder", DepthDecoder(rng, cfg, cfg.n_dep, n_views * n_patches))
         self.action_head = self.add_module("action_head", Linear(rng, d, action_dim))
 
     def sc_forward(self, obj3d: TokenSet, agg: TokenSet, t: Tensor) -> dict[str, Tensor]:
@@ -263,9 +262,8 @@ class CSThinker(Module):
         return self.dyn_decoder(dyn_all)
 
     def decode_depth(self, states: dict[str, Tensor]) -> Tensor:
-        preds = [dec(states["dep"]) for dec in self.depth_decoders]
-        per_view = [reshape(p, (*p.shape[:-1], 1, p.shape[-1])) for p in preds]
-        return concat(per_view, axis=-2)  # [..., V, P]
+        pred = self.depth_decoder(states["dep"])
+        return reshape(pred, (*pred.shape[:-1], self.layout.n_views, -1))  # [..., V, P]
 
     def decode_action(self, states: dict[str, Tensor]) -> Tensor:
         return self.action_head(states["action"])

@@ -12,10 +12,10 @@ import numpy as np
 from .config import FullConfig
 from .model import VLAModel
 from .tensor import ContractError, Tape, backward, grad_check, grad_of
-from .world import (expert_action, is_success, observe, sample_scene,
+from .world import (ACTION_DIM, expert_action, is_success, observe, sample_scene,
                     step_scene, episode_samples)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,39 @@ def assemble_batch(samples: list[tuple]) -> dict:
             "target_mask_m": stack(nxt, "target_mask_m", cast=bool),
         },
     }
+
+
+def check_episodes(cfg: FullConfig, episodes: list[dict]) -> None:
+    """Raise ContractError unless every episode has the shapes `cfg` expects.
+
+    An observation may carry more views than the model reads (it takes
+    the first cfg.n_views), never fewer.
+    """
+    wc = cfg.world
+    s, p = wc.image_size, wc.n_patches
+
+    def expect(where, field, got, want):
+        if got != want:
+            raise ContractError(f"dataset {where} {field} has shape {got}, "
+                                f"config expects {want}")
+
+    for e, ep in enumerate(episodes):
+        obs = ep["obs"]
+        expect(f"episode {e}", "actions", np.shape(ep["actions"]),
+               ((len(obs) - 1) * wc.chunk, ACTION_DIM))
+        if not 0 <= ep["instruction_id"] < wc.n_colors:
+            raise ContractError(f"dataset episode {e} instruction_id "
+                                f"{ep['instruction_id']} is not a colour id "
+                                f"below n_colors={wc.n_colors}")
+        for t, o in enumerate(obs):
+            where = f"episode {e} observation {t}"
+            views = np.shape(o["views"])
+            v = views[0] if len(views) == 4 and views[0] >= cfg.n_views else cfg.n_views
+            expect(where, "views", views, (v, s, s, 3))
+            expect(where, "depth_patch", np.shape(o["depth_patch"]), (v, p))
+            expect(where, "obj_channels", np.shape(o["obj_channels"]),
+                   (v, p, wc.n_colors + 1))
+            expect(where, "target_mask_m", np.shape(o["target_mask_m"]), (p,))
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +161,11 @@ def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAMod
     sampling both derive from cfg.train.seed.
     """
     tc = cfg.train
-    model = VLAModel(cfg, seed=tc.seed)
+    check_episodes(cfg, episodes)
     samples = collect_samples(episodes, cfg.world.chunk)
     if not samples:
         raise ContractError("dataset contains no training samples")
+    model = VLAModel(cfg, seed=tc.seed)
     params = model.trainable_parameters()
     opt = Adam(params, lr=tc.lr)
     rng = np.random.default_rng(tc.seed)
@@ -204,7 +238,7 @@ def evaluate_closed_loop(policy, cfg: FullConfig, n_episodes: int, seed: int = 1
                     s = step_scene(s, a, wc)
                 actions = np.stack(actions)
             else:
-                obs = observe(scene, wc, n_views=3)
+                obs = observe(scene, wc, n_views=cfg.n_views)
                 batch = {
                     "views": obs["views"][None],
                     "depth_patch": obs["depth_patch"][None],
@@ -250,7 +284,7 @@ def run_grad_checks(cfg: FullConfig, seed: int = 0, n_per_group: int = 32,
     # carries real gradient; fall back to the first sample otherwise
     batch = None
     for _ in range(25):
-        ep = run_expert_episode(rng, cfg.world, n_views=3)
+        ep = run_expert_episode(rng, cfg.world, n_views=cfg.n_views)
         for sample in episode_samples(ep, cfg.world.chunk):
             cand = assemble_batch([sample])
             if batch is None:

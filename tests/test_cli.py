@@ -210,6 +210,25 @@ def test_gen_data_rejects_n_colors_outside_palette(tmp_path, capsys, n_colors):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    pytest.param({"world": {"n_colors": 6}},
+                 "obj_channels has shape (3, 16, 7), config expects (3, 16, 5)",
+                 id="n_colors_6"),
+    pytest.param({"n_views": 2},
+                 "views has shape (2, 16, 16, 3), config expects (3, 16, 16, 3)",
+                 id="two_views"),
+])
+def test_train_rejects_dataset_that_does_not_match_config(tmp_path, capsys, edit, message):
+    cfgp = tmp_path / "data_cfg.json"
+    cfgp.write_text(json.dumps(edit))
+    data, ck = str(tmp_path / "d.jsonl"), tmp_path / "ck.json"
+    assert run(capsys, "gen-data", "--config", str(cfgp), "--episodes", "1",
+               "--horizon", "8", "--out", data)[0] == 0
+    code, _, err = run(capsys, "train", "--data", data, "--steps", "1", "--out", str(ck))
+    assert code == 1 and message in err and "Traceback" not in err
+    assert not ck.exists()
+
+
 def test_config_file_with_audit_section(tmp_path, capsys):
     bad = tmp_path / "audit.json"
     bad.write_text(json.dumps({"audit": {"preset": "toy"}}))

@@ -175,7 +175,7 @@ def test_ig_aggregate_matches_hand_oracle():
 
     # hand-rolled pre-LN attention + FFN with the block's own weights
     def lin(m, x):
-        return x @ m.w.data + m.b.data
+        return x @ m.w.data + (m.b.data if m.b is not None else 0.0)
 
     x = np.concatenate([geo, agg], axis=0)
     gn = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)

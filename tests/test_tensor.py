@@ -214,6 +214,23 @@ def test_gather_rows_forward_and_backward():
     np.testing.assert_array_equal(grad_of(grads, x), want)
 
 
+@pytest.mark.parametrize("indices", [[[0, 4], [3, 1], [2, 2]], [[1, 1], [0, 0], [4, 4]]],
+                         ids=["unique", "duplicate"])
+def test_gather_rows_batched_backward_matches_per_row_loop(indices):
+    rng = np.random.default_rng(7)
+    x = parameter(rng.normal(size=(2, 3, 5, 4)))
+    idx = np.broadcast_to(np.array(indices), (2, 3, 2))
+    up = rng.normal(size=(2, 3, 2, 4))
+    with Tape() as tape:
+        loss = tsum(gather_rows(x, idx) * Tensor(up))
+    want = np.zeros_like(x.data)
+    for b in range(2):
+        for v in range(3):
+            for k in range(2):
+                want[b, v, idx[b, v, k]] += up[b, v, k]
+    np.testing.assert_array_equal(grad_of(backward(loss, tape), x), want)
+
+
 def test_concat_narrow_roundtrip_grads():
     a = parameter(np.ones((2, 3)))
     b = parameter(np.full((2, 2), 2.0))

@@ -96,9 +96,11 @@ def test_train_runs_and_is_deterministic():
 
 @pytest.mark.parametrize("make_cfg", [toy_config, micro_config])
 def test_every_trainable_parameter_gets_gradient(make_cfg):
-    # a parameter whose gradient is exactly zero on a training batch can
-    # never move; after a few updates (the zero-init decoder heads need
-    # one) every trainable tensor must carry some gradient
+    # a parameter without gradient on a training batch can never move;
+    # after a few updates (the zero-init decoder heads need one) every
+    # trainable tensor must carry gradient above rounding noise, which is
+    # what a tensor cancelled by its downstream op (a key bias under
+    # softmax) receives
     cfg = make_cfg()
     cfg.train.steps = 3
     cfg.train.batch_size = 16
@@ -108,8 +110,10 @@ def test_every_trainable_parameter_gets_gradient(make_cfg):
     with Tape() as tape:
         total, _ = model.compute_losses(batch, aux_target_scale=cfg.train.aux_target_scale)
     grads = backward(total, tape)
-    dead = sorted(name for name, p in model.trainable_parameters().items()
-                  if not np.any(grad_of(grads, p)))
+    peak = {name: np.abs(grad_of(grads, p)).max()
+            for name, p in model.trainable_parameters().items()}
+    largest = max(peak.values())
+    dead = sorted(name for name, g in peak.items() if g <= 1e-12 * largest)
     assert dead == []
 
 
@@ -195,6 +199,21 @@ def test_eval_with_model_policy_runs():
     assert rep["n_episodes"] == 2
     assert 0.0 <= rep["success_rate"] <= 1.0
     assert rep["mean_action_l1"] >= 0.0
+
+
+def test_eval_renders_only_the_configured_views(monkeypatch):
+    import sparsevla.world as world
+    rendered = []
+    render = world.render_view
+
+    def counting(scene, view, cfg):
+        rendered.append(view)
+        return render(scene, view, cfg)
+
+    monkeypatch.setattr(world, "render_view", counting)
+    cfg = micro_config()
+    evaluate_closed_loop(model_policy(VLAModel(cfg, seed=0)), cfg, n_episodes=2, seed=5)
+    assert rendered and set(rendered) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
