@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .blocks import CrossAttnLayer, Module
-from .config import AlignerConfig
+from .config import AlignerConfig, EncoderConfig
 from .tensor import ContractError, Tensor, gather_rows
 from .types import SelectionResult, TokenSet
 from .world import VIEW_NAMES
@@ -60,11 +60,10 @@ def es_select(z_sem: TokenSet, t: Tensor, w_t: Tensor, k: int) -> SelectionResul
 class SingleFusion(Module):
     """Stack of FFN(CrossAttn(q=obj, kv=spatial)) + residual layers."""
 
-    def __init__(self, rng, cfg: AlignerConfig, d_v: int, d_spatial: int | None = None):
+    def __init__(self, rng, cfg: AlignerConfig, ec: EncoderConfig):
         super().__init__()
-        d_spatial = d_spatial if d_spatial is not None else d_v
         self.layers = [self.add_module(
-            f"layer{i}", CrossAttnLayer(rng, d_v, cfg.n_heads, cfg.d_ff, d_kv=d_spatial))
+            f"layer{i}", CrossAttnLayer(rng, ec.d_v, ec.n_heads, ec.d_ff))
             for i in range(cfg.n_layers)]
 
     def __call__(self, z_obj: TokenSet, z_3d: TokenSet) -> TokenSet:
@@ -78,13 +77,13 @@ class SingleFusion(Module):
 class CVAligner(Module):
     """W_t projection + ES-Selection + Single-Fusion, shared across views."""
 
-    def __init__(self, rng, cfg: AlignerConfig, d_t: int, d_v: int):
+    def __init__(self, rng, cfg: AlignerConfig, ec: EncoderConfig):
         super().__init__()
         self.cfg = cfg
-        std = (2.0 / (d_t + d_v)) ** 0.5
-        self.w_t = self.add_param("w_t", std * rng.normal(size=(d_t, d_v)),
+        std = (2.0 / (ec.d_t + ec.d_v)) ** 0.5
+        self.w_t = self.add_param("w_t", std * rng.normal(size=(ec.d_t, ec.d_v)),
                                   trainable=False)
-        self.fusion = self.add_module("fusion", SingleFusion(rng, cfg, d_v))
+        self.fusion = self.add_module("fusion", SingleFusion(rng, cfg, ec))
 
     def align_views(self, z_sem: TokenSet, t: Tensor,
                     z_3d: TokenSet) -> tuple[TokenSet, dict[str, SelectionResult]]:

@@ -72,21 +72,19 @@ class LayerNorm(Module):
 
 
 class MultiHeadAttention(Module):
-    """Standard scaled dot-product attention; kv width may differ from d."""
+    """Standard scaled dot-product attention; queries and keys/values share width d."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_kv: int | None = None,
-                 trainable: bool = True):
+    def __init__(self, rng, d_model: int, n_heads: int, trainable: bool = True):
         super().__init__()
         if d_model % n_heads:
             raise ConfigError(f"d_model {d_model} not divisible by heads {n_heads}")
-        d_kv = d_kv if d_kv is not None else d_model
         self.d_model, self.n_heads, self.d_head = d_model, n_heads, d_model // n_heads
         self.wq = self.add_module("wq", Linear(rng, d_model, d_model, trainable=trainable))
         # no key bias: it adds q·b to every score in a query's row, and
         # softmax cancels any shift shared by a row
-        self.wk = self.add_module("wk", Linear(rng, d_kv, d_model, bias=False,
+        self.wk = self.add_module("wk", Linear(rng, d_model, d_model, bias=False,
                                                trainable=trainable))
-        self.wv = self.add_module("wv", Linear(rng, d_kv, d_model, trainable=trainable))
+        self.wv = self.add_module("wv", Linear(rng, d_model, d_model, trainable=trainable))
         self.wo = self.add_module("wo", Linear(rng, d_model, d_model, trainable=trainable))
 
     def _split(self, x: Tensor, n: int) -> Tensor:
@@ -138,11 +136,11 @@ class TransformerLayer(Module):
 class CrossAttnLayer(Module):
     """Fusion layer: FFN(CrossAttn(q, kv)) + q (residual from the layer input)."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int, d_kv: int,
+    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int,
                  trainable: bool = True):
         super().__init__()
         self.attn = self.add_module("attn", MultiHeadAttention(rng, d_model, n_heads,
-                                                               d_kv=d_kv, trainable=trainable))
+                                                               trainable=trainable))
         self.ffn = self.add_module("ffn", FeedForward(rng, d_model, d_ff, trainable))
 
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:

@@ -46,6 +46,8 @@ class WorldConfig:
 
 @dataclass
 class EncoderConfig:
+    """The d_v stage. n_heads and d_ff apply to every block of width d_v:
+    the encoders, the aligner's fusion layers and the fuser's blocks."""
     d_v: int = 32            # token width of all visual streams
     d_t: int = 16            # instruction embedding width
     n_heads: int = 4
@@ -58,8 +60,6 @@ class EncoderConfig:
 class AlignerConfig:
     k: int = 2               # tokens retained per view (1/8 of 16)
     n_layers: int = 1
-    n_heads: int = 4
-    d_ff: int = 64
 
 
 @dataclass
@@ -67,16 +67,15 @@ class FuserConfig:
     n_agg: int = 8
     psi: float = 0.2
     delta: float = 0.05
-    schedule: str = "cosine"     # cosine | linear
     # two-block | per-view; COFuser.run does not depend on it, but the
     # benchmark's agg-only replica (perfbench/workloads.py) still reads it
     layout: str = "two-block"
-    n_heads: int = 4
-    d_ff: int = 64
 
 
 @dataclass
 class ThinkerConfig:
+    """The d_model stage. n_heads and d_ff apply to every block of width
+    d_model: the sc layers and both auxiliary decoders."""
     d_model: int = 32
     n_layers: int = 2
     n_heads: int = 4
@@ -85,8 +84,6 @@ class ThinkerConfig:
     n_dep: int = 4
     n_instr_tokens: int = 1
     decoder_layers: int = 2
-    decoder_heads: int = 4
-    decoder_d_ff: int = 64
 
 
 @dataclass
@@ -101,7 +98,6 @@ class TrainConfig:
     # factor so their summed squared errors stay comparable to the action
     # loss instead of dominating the shared trunk's gradient
     aux_target_scale: float = 0.01
-    log_every: int = 1
     smooth_window: int = 100
 
 
@@ -149,40 +145,43 @@ class FullConfig:
         Train settings are excluded so a checkpoint stays loadable
         when only optimization settings (steps, lr) differ.
         """
-        d = self.to_dict()
-        arch = {k: d[k] for k in ("n_views", "world", "encoders", "aligner",
-                                  "fuser", "thinker")}
+        arch = {k: v for k, v in self.to_dict().items() if k != "train"}
         blob = json.dumps(arch, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "world": WorldConfig,
-    "encoders": EncoderConfig,
-    "aligner": AlignerConfig,
-    "fuser": FuserConfig,
-    "thinker": ThinkerConfig,
-    "train": TrainConfig,
-}
+def _typed(where: str, value, default):
+    """`value` as its field default's type; a JSON int may fill a float field."""
+    want = type(default)
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want:
+        raise ConfigError(f"{where} must be {want.__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+    return value
 
 
 def config_from_dict(d: dict) -> FullConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
     cfg = FullConfig()
-    known = set(_SECTIONS) | {"n_views"}
-    unknown = set(d) - known
+    unknown = set(d) - set(vars(cfg))
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    if "n_views" in d:
-        cfg.n_views = int(d["n_views"])
-    for key, cls in _SECTIONS.items():
-        if key not in d:
-            continue
-        sect = d[key]
-        names = {f.name for f in dataclasses.fields(cls)}
-        bad = set(sect) - names
-        if bad:
-            raise ConfigError(f"unknown keys in [{key}]: {sorted(bad)}")
-        setattr(cfg, key, cls(**sect))
+    for key, value in d.items():
+        default = getattr(cfg, key)
+        if not dataclasses.is_dataclass(default):   # n_views
+            value = _typed(key, value, default)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"[{key}] must be a JSON object, got {type(value).__name__}")
+        else:
+            fields = vars(default)
+            bad = set(value) - set(fields)
+            if bad:
+                raise ConfigError(f"unknown keys in [{key}]: {sorted(bad)}")
+            value = type(default)(**{name: _typed(f"{key}.{name}", v, fields[name])
+                                     for name, v in value.items()})
+        setattr(cfg, key, value)
     validate(cfg)
     return cfg
 
@@ -202,8 +201,6 @@ def validate(cfg: FullConfig) -> None:
         raise ConfigError("image_size must be divisible by patch_size")
     if cfg.aligner.k > cfg.world.n_patches:
         raise ConfigError(f"k={cfg.aligner.k} exceeds patch count {cfg.world.n_patches}")
-    if cfg.fuser.schedule not in ("cosine", "linear"):
-        raise ConfigError(f"unknown alpha schedule {cfg.fuser.schedule!r}")
     if cfg.fuser.layout not in ("two-block", "per-view"):
         raise ConfigError(f"unknown fuser layout {cfg.fuser.layout!r}")
     if cfg.train.steps < 0 or cfg.train.batch_size < 1:
@@ -222,11 +219,10 @@ def micro_config() -> FullConfig:
         n_views=2,
         encoders=EncoderConfig(d_v=8, d_t=4, n_heads=2, n_layers_sem=1,
                                n_layers_geo=1, d_ff=12),
-        aligner=AlignerConfig(k=2, n_layers=1, n_heads=2, d_ff=12),
-        fuser=FuserConfig(n_agg=2, n_heads=2, d_ff=12),
+        aligner=AlignerConfig(k=2, n_layers=1),
+        fuser=FuserConfig(n_agg=2),
         thinker=ThinkerConfig(d_model=8, n_layers=1, n_heads=2, d_ff=12,
-                              n_dyn_per_view=2, n_dep=2, decoder_layers=1,
-                              decoder_heads=2, decoder_d_ff=12),
+                              n_dyn_per_view=2, n_dep=2, decoder_layers=1),
         train=TrainConfig(batch_size=1, steps=1),
     )
     validate(cfg)

@@ -20,15 +20,14 @@ from .tensor import ConfigError, Tensor, concat, embedding, reshape
 
 
 def position_code(n_patches: int, d: int) -> np.ndarray:
-    """Unit-scale 2D sinusoidal code over the square patch grid.
+    """Unit-scale 2D sinusoidal code over the square patch grid (n_patches
+    is always (image_size // patch_size)**2).
 
     Tokens need a strong positional signal from step one so attention can
     localize objects; a near-zero random init hides patch identity and
     makes position decoding needlessly slow to learn.
     """
     g = int(round(np.sqrt(n_patches)))
-    if g * g != n_patches:
-        return np.sin(np.outer(np.arange(n_patches), np.exp(np.linspace(0.0, 3.0, d))))
     rows = np.repeat(np.arange(g), g) / max(g - 1, 1)
     cols = np.tile(np.arange(g), g) / max(g - 1, 1)
     q = max(d // 4, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import Module, TransformerLayer
-from .config import FuserConfig
+from .config import EncoderConfig, FuserConfig
 from .tensor import ConfigError, ContractError, Tensor, concat, narrow
 from .types import TokenSet
 
@@ -23,19 +23,13 @@ class AlphaSchedule:
     psi: float
     delta: float
     l_max: int            # L'
-    kind: str = "cosine"  # cosine | linear
 
 
 def alpha(l: int, sched: AlphaSchedule) -> float:
     """Layer-wise fusion weight; psi at l=0 decaying to psi*delta at l=L'."""
     if not 0 <= l <= sched.l_max:
         raise ContractError(f"layer {l} outside [0, {sched.l_max}]")
-    if sched.kind == "cosine":
-        shape = (1.0 + math.cos(l * math.pi / sched.l_max)) / 2.0
-    elif sched.kind == "linear":
-        shape = 1.0 - l / sched.l_max
-    else:
-        raise ConfigError(f"unknown schedule kind {sched.kind!r}")
+    shape = (1.0 + math.cos(l * math.pi / sched.l_max)) / 2.0
     return sched.psi * (sched.delta + (1.0 - sched.delta) * shape)
 
 
@@ -93,14 +87,14 @@ def ig_aggregate(z_geo3d: TokenSet, agg: Tensor, block: TransformerLayer,
 class COFuser(Module):
     """Learned aggregation tokens + one IG-Aggregation block per layer."""
 
-    def __init__(self, rng, cfg: FuserConfig, d_v: int, n_layers: int):
+    def __init__(self, rng, cfg: FuserConfig, ec: EncoderConfig):
         super().__init__()
         self.cfg = cfg
-        self.sched = AlphaSchedule(cfg.psi, cfg.delta, n_layers, cfg.schedule)
-        self.agg0 = self.add_param("agg0", 0.02 * rng.normal(size=(cfg.n_agg, d_v)))
+        self.sched = AlphaSchedule(cfg.psi, cfg.delta, ec.n_layers_geo)
+        self.agg0 = self.add_param("agg0", 0.02 * rng.normal(size=(cfg.n_agg, ec.d_v)))
         self.blocks = [self.add_module(
-            f"block{i}", TransformerLayer(rng, d_v, cfg.n_heads, cfg.d_ff))
-            for i in range(n_layers)]
+            f"block{i}", TransformerLayer(rng, ec.d_v, ec.n_heads, ec.d_ff))
+            for i in range(ec.n_layers_geo)]
 
     def run(self, geo_feats: list[TokenSet], spatial_feats: list[TokenSet],
             n_geo_per_view: int, n_views: int) -> TokenSet:

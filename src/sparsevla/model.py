@@ -43,9 +43,9 @@ class VLAModel(Module):
         self.spatial = self.add_module(
             "spatial3d", Spatial3DEncoder(rng, ec, wc, patch_dim))
         self.aligner = self.add_module(
-            "aligner", CVAligner(rng, cfg.aligner, ec.d_t, ec.d_v))
+            "aligner", CVAligner(rng, cfg.aligner, ec))
         self.fuser = self.add_module(
-            "fuser", COFuser(rng, cfg.fuser, ec.d_v, ec.n_layers_geo))
+            "fuser", COFuser(rng, cfg.fuser, ec))
         self.thinker = self.add_module(
             "thinker", CSThinker(rng, cfg.thinker, cfg.n_views, cfg.aligner.k,
                                  cfg.fuser.n_agg, ec.d_v, ec.d_t, wc.chunk,

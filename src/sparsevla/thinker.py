@@ -167,8 +167,7 @@ class DynamicDecoder(Module):
         super().__init__()
         self.slots = self.add_param("slots", 0.02 * rng.normal(size=(n_slots, cfg.d_model)))
         self.layers = [self.add_module(
-            f"layer{i}", CrossAttnLayer(rng, cfg.d_model, cfg.decoder_heads,
-                                        cfg.decoder_d_ff, d_kv=cfg.d_model))
+            f"layer{i}", CrossAttnLayer(rng, cfg.d_model, cfg.n_heads, cfg.d_ff))
             for i in range(cfg.decoder_layers)]
         # zero-init output head: auxiliary predictions (and hence their
         # gradients into the shared trunk) start at zero and grow gently
@@ -189,8 +188,7 @@ class DepthDecoder(Module):
         super().__init__()
         self.n_dep = n_dep
         self.layers = [self.add_module(
-            f"layer{i}", TransformerLayer(rng, cfg.d_model, cfg.decoder_heads,
-                                          cfg.decoder_d_ff))
+            f"layer{i}", TransformerLayer(rng, cfg.d_model, cfg.n_heads, cfg.d_ff))
             for i in range(cfg.decoder_layers)]
         # zero-init output head, matching the dynamic decoder
         self.head = self.add_module("head", Linear(rng, n_dep * cfg.d_model,

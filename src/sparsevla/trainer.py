@@ -155,7 +155,7 @@ def load_checkpoint(path: str, model: VLAModel) -> int:
 
 
 def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAModel, list[dict]]:
-    """Train from scratch; returns (model, loss stream records).
+    """Train from scratch; returns (model, loss stream: one record per step).
 
     Deterministic given (config, dataset): model init seed and batch
     sampling both derive from cfg.train.seed.
@@ -182,11 +182,10 @@ def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAMod
                 f"non-finite loss at step {step}: {report.to_dict()}")
         grads = backward(total, tape)
         opt.step(grads)
-        if step % tc.log_every == 0:
-            rec = {"step": step, **report.to_dict()}
-            stream.append(rec)
-            if loss_sink is not None:
-                loss_sink(rec)
+        rec = {"step": step, **report.to_dict()}
+        stream.append(rec)
+        if loss_sink is not None:
+            loss_sink(rec)
     return model, stream
 
 

@@ -277,21 +277,28 @@ def _episode_to_json(ep: dict) -> dict:
     }
 
 
-def _episode_from_json(d: dict) -> dict:
-    return {
-        "instruction_id": int(d["instruction_id"]),
-        "success": bool(d["success"]),
-        "actions": np.asarray(d["actions"], dtype=float),
-        "obs": [
-            {
-                "views": np.asarray(o["views"], dtype=float),
-                "depth_patch": np.asarray(o["depth_patch"], dtype=float),
-                "obj_channels": np.asarray(o["obj_channels"], dtype=float),
-                "target_mask_m": np.asarray(o["target_mask_m"], dtype=int).astype(bool),
-            }
-            for o in d["obs"]
-        ],
-    }
+def _episode_from_json(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ContractError(f"{where} is not a JSON object")
+    try:
+        return {
+            "instruction_id": int(d["instruction_id"]),
+            "success": bool(d["success"]),
+            "actions": np.asarray(d["actions"], dtype=float),
+            "obs": [
+                {
+                    "views": np.asarray(o["views"], dtype=float),
+                    "depth_patch": np.asarray(o["depth_patch"], dtype=float),
+                    "obj_channels": np.asarray(o["obj_channels"], dtype=float),
+                    "target_mask_m": np.asarray(o["target_mask_m"], dtype=int).astype(bool),
+                }
+                for o in d["obs"]
+            ],
+        }
+    except KeyError as exc:
+        raise ContractError(f"{where} has no key {exc}") from None
+    except TypeError as exc:   # e.g. an observation that is not an object
+        raise ContractError(f"{where} is not a valid episode: {exc}") from None
 
 
 def generate_dataset(path: str, seed: int, n_episodes: int, horizon: int | None,
@@ -314,9 +321,11 @@ def generate_dataset(path: str, seed: int, n_episodes: int, horizon: int | None,
 def load_dataset(path: str):
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("format_version") != FORMAT_VERSION:
-            raise ContractError(f"unsupported dataset format: {header.get('format_version')}")
-        episodes = [_episode_from_json(json.loads(line)) for line in fh if line.strip()]
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != FORMAT_VERSION:
+            raise ContractError(f"unsupported dataset format: {version}")
+        episodes = [_episode_from_json(json.loads(line), f"{path} line {n}")
+                    for n, line in enumerate(fh, start=2) if line.strip()]
     return header, episodes
 
 

@@ -44,7 +44,7 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_alpha_schedule_endpoints():
-    sched = AlphaSchedule(psi=0.2, delta=0.05, l_max=24, kind="cosine")
+    sched = AlphaSchedule(psi=0.2, delta=0.05, l_max=24)
     a0, a24 = alpha(0, sched), alpha(24, sched)
     ok = abs(a0 - 0.2) < 1e-12 and abs(a24 - 0.01) < 1e-12
     check(1, "alpha-schedule-endpoints", ok, f"alpha(0)={a0}, alpha(24)={a24}")
@@ -131,7 +131,7 @@ def _small_thinker(seed=0):
     rng = np.random.default_rng(seed)
     cfg = ThinkerConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32,
                         n_dyn_per_view=2, n_dep=2, n_instr_tokens=1,
-                        decoder_layers=1, decoder_heads=2, decoder_d_ff=32)
+                        decoder_layers=1)
     return CSThinker(rng, cfg, n_views=3, k_obj=2, n_agg=4, d_v=8, d_t=4,
                      chunk=4, action_dim=2, n_patches=16)
 

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevla.aligner import CVAligner, SingleFusion, es_select, score_tokens
-from sparsevla.config import AlignerConfig
+from sparsevla.config import AlignerConfig, EncoderConfig
 from sparsevla.tensor import ContractError, Tape, Tensor, backward, grad_of, parameter, tsum
 from sparsevla.types import TokenSet
+
+EC = EncoderConfig(d_v=4, d_t=3, n_heads=1, d_ff=8)
 
 
 def _sem(arr):
@@ -115,7 +117,8 @@ def test_es_select_gradient_only_through_selected():
 
 def test_single_fusion_residual_identity_with_zero_value_path():
     rng = np.random.default_rng(2)
-    fusion = SingleFusion(rng, AlignerConfig(n_heads=1, d_ff=8, n_layers=1), 4)
+    fusion = SingleFusion(rng, AlignerConfig(n_layers=1),
+                          EncoderConfig(d_v=4, n_heads=1, d_ff=8))
     layer = fusion.layers[0]
     layer.attn.wv.w.data[:] = 0.0
     layer.attn.wo.b.data[:] = 0.0
@@ -131,8 +134,7 @@ def test_single_fusion_residual_identity_with_zero_value_path():
 def test_cv_aligner_per_view_independence():
     # changing view L's spatial tokens must not change view M's output
     rng = np.random.default_rng(3)
-    cfg = AlignerConfig(k=2, n_heads=1, d_ff=8)
-    aligner = CVAligner(rng, cfg, d_t=3, d_v=4)
+    aligner = CVAligner(rng, AlignerConfig(k=2), EC)
     # views M, L stacked on axis 1 of [B=1, V=2, P=6, d=4]
     t = Tensor(rng.normal(size=(1, 3)))
     sem = TokenSet(Tensor(np.stack([rng.normal(size=(6, 4)) for _ in "ML"])[None]),
@@ -148,8 +150,7 @@ def test_cv_aligner_per_view_independence():
 
 def test_cv_aligner_batched_selection_shapes():
     rng = np.random.default_rng(4)
-    cfg = AlignerConfig(k=2, n_heads=1, d_ff=8)
-    aligner = CVAligner(rng, cfg, d_t=3, d_v=4)
+    aligner = CVAligner(rng, AlignerConfig(k=2), EC)
     t = Tensor(rng.normal(size=(5, 3)))
     # one view: [B=5, V=1, P=6, d=4]
     sem = TokenSet(Tensor(rng.normal(size=(5, 6, 4))[:, None]), role="sem")
@@ -162,7 +163,8 @@ def test_cv_aligner_batched_selection_shapes():
 def test_cv_aligner_matches_per_view_calls():
     # one call over [B, V, P, d] equals selection + fusion run view by view
     rng = np.random.default_rng(5)
-    aligner = CVAligner(rng, AlignerConfig(k=2, n_heads=2, d_ff=8), d_t=3, d_v=4)
+    aligner = CVAligner(rng, AlignerConfig(k=2),
+                        EncoderConfig(d_v=4, d_t=3, n_heads=2, d_ff=8))
     t = Tensor(rng.normal(size=(4, 3)))
     sem, sp = rng.normal(size=(2, 4, 3, 6, 4))
     out, sels = aligner.align_views(TokenSet(Tensor(sem), role="sem"), t,

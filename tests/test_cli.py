@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsevla.cli import main, mask_to_text
-from sparsevla.config import FullConfig, micro_config
+from sparsevla.config import FullConfig, load_config, micro_config
 
 
 def run(capsys, *argv):
@@ -189,14 +189,42 @@ def test_config_file_with_removed_train_dtype(tmp_path, capsys):
     assert code == 1 and "unknown" in err and "dtype" in err
 
 
-@pytest.mark.parametrize("section,key", [("encoders", "n_instructions"),
-                                         ("world", "action_dim")])
+@pytest.mark.parametrize("section,key", [
+    ("encoders", "n_instructions"), ("world", "action_dim"),
+    ("aligner", "n_heads"), ("aligner", "d_ff"), ("fuser", "n_heads"),
+    ("fuser", "d_ff"), ("fuser", "schedule"), ("thinker", "decoder_heads"),
+    ("thinker", "decoder_d_ff"), ("train", "log_every")])
 def test_config_file_with_removed_derived_value(tmp_path, capsys, section, key):
-    # instruction count is world.n_colors; the action width is world.ACTION_DIM
+    # instruction count is world.n_colors; the action width is world.ACTION_DIM;
+    # d_v blocks take encoders.n_heads/d_ff and d_model blocks thinker's; alpha
+    # has one (cosine) schedule; every training step is logged
     bad = tmp_path / f"{key}.json"
     bad.write_text(json.dumps({section: {key: 3}}))
     code, _, err = run(capsys, "audit-budget", "--config", str(bad))
-    assert code == 1 and "unknown" in err and key in err
+    assert code == 1 and "unknown keys" in err and key in err
+
+
+@pytest.mark.parametrize("payload,named", [
+    ([], "JSON object"), ({"world": 5}, "[world]"),
+    ({"encoders": {"d_v": "32"}}, "encoders.d_v"),
+    ({"fuser": {"psi": True}}, "fuser.psi"), ({"n_views": 2.0}, "n_views"),
+    ({"train": {"enable_dyn_loss": 1}}, "train.enable_dyn_loss")],
+    ids=["top_level_list", "section_int", "str_for_int", "bool_for_float",
+         "float_for_int", "int_for_bool"])
+def test_config_file_with_wrong_json_type(tmp_path, capsys, payload, named):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "audit-budget", "--config", str(bad))
+    assert code == 1 and named in err
+
+
+def test_config_file_int_fills_float_field(tmp_path):
+    # an int is read as the float it stands for, so both spellings share a hash
+    paths = [tmp_path / "int.json", tmp_path / "float.json"]
+    for p, psi in zip(paths, (1, 1.0)):
+        p.write_text(json.dumps({"fuser": {"psi": psi}}))
+    a, b = (load_config(str(p)) for p in paths)
+    assert type(a.fuser.psi) is float and a.config_hash() == b.config_hash()
 
 
 @pytest.mark.parametrize("n_colors", [1, 7])
@@ -226,6 +254,23 @@ def test_train_rejects_dataset_that_does_not_match_config(tmp_path, capsys, edit
                "--horizon", "8", "--out", data)[0] == 0
     code, _, err = run(capsys, "train", "--data", data, "--steps", "1", "--out", str(ck))
     assert code == 1 and message in err and "Traceback" not in err
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    pytest.param('{"instruction_id": 0}', "line 3 has no key 'success'", id="missing_key"),
+    pytest.param('[0, 1]', "line 3 is not a JSON object", id="list"),
+    pytest.param('{"instruction_id": 0, "success": true, "actions": [], "obs": [5]}',
+                 "line 3 is not a valid episode", id="observation_not_object"),
+])
+def test_train_rejects_malformed_dataset_line(tmp_path, capsys, line, message):
+    data, ck = tmp_path / "d.jsonl", tmp_path / "ck.json"
+    assert run(capsys, "gen-data", "--episodes", "1", "--horizon", "8",
+               "--out", str(data))[0] == 0
+    with open(data, "a") as fh:
+        fh.write(line + "\n")
+    code, _, err = run(capsys, "train", "--data", str(data), "--steps", "1", "--out", str(ck))
+    assert code == 1 and message in err
     assert not ck.exists()
 
 

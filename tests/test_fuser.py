@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sparsevla.blocks import TransformerLayer
 from sparsevla.fuser import (AlphaSchedule, COFuser, alpha, build_bc_mask,
                              group_fuse, ig_aggregate)
-from sparsevla.config import FuserConfig, toy_config
+from sparsevla.config import EncoderConfig, FuserConfig, toy_config
 from sparsevla.tensor import ContractError, Tensor
 from sparsevla.types import TokenSet
 
@@ -38,15 +38,6 @@ def test_alpha_strictly_decreasing_with_exact_endpoints():
     vals = [alpha(l, FULL_DEPTH_SCHED) for l in range(25)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert abs(vals[0] - 0.2) < 1e-12 and abs(vals[-1] - 0.01) < 1e-12
-
-
-def test_alpha_linear_variant_endpoints():
-    sched = AlphaSchedule(psi=0.2, delta=0.05, l_max=24, kind="linear")
-    assert abs(alpha(0, sched) - 0.2) < 1e-12
-    assert abs(alpha(24, sched) - 0.01) < 1e-12
-    vals = [alpha(l, sched) for l in range(25)]
-    diffs = np.diff(vals)
-    np.testing.assert_allclose(diffs, diffs[0], atol=1e-15)  # constant rate
 
 
 def _ts(arr, role="geo"):
@@ -200,8 +191,8 @@ def test_ig_aggregate_matches_hand_oracle():
 
 def _run_cofuser(n_layers=2, n_agg=3, n_geo_pv=2, n_views=3, d=4, lead=(1,)):
     rng = np.random.default_rng(5)
-    cfg = FuserConfig(n_agg=n_agg, n_heads=1, d_ff=8)
-    fuser = COFuser(rng, cfg, d, n_layers)
+    fuser = COFuser(rng, FuserConfig(n_agg=n_agg),
+                    EncoderConfig(d_v=d, n_layers_geo=n_layers, n_heads=1, d_ff=8))
     geo = [_ts(rng.normal(size=(*lead, n_geo_pv * n_views, d)), "geo")
            for _ in range(n_layers)]
     sp = [_ts(rng.normal(size=(*lead, n_geo_pv * n_views, d)), "spatial3d")
@@ -222,7 +213,8 @@ def test_run_cofuser_output_count_is_agg_budget():
 
 def test_run_cofuser_layer_count_mismatch():
     rng = np.random.default_rng(6)
-    fuser = COFuser(rng, FuserConfig(n_agg=2, n_heads=1, d_ff=8), 4, 2)
+    fuser = COFuser(rng, FuserConfig(n_agg=2),
+                    EncoderConfig(d_v=4, n_layers_geo=2, n_heads=1, d_ff=8))
     feats = [_ts(rng.normal(size=(1, 6, 4)), "geo")]
     with pytest.raises(Exception, match="layers"):
         fuser.run(feats, feats, 2, 3)
@@ -237,7 +229,7 @@ def test_run_cofuser_equals_agg_rows_of_full_blocks(b, layout):
     d, p, v = cfg.encoders.d_v, cfg.world.n_patches, cfg.n_views
     n_layers = cfg.encoders.n_layers_geo
     rng = np.random.default_rng(b)
-    fuser = COFuser(rng, cfg.fuser, d, n_layers)
+    fuser = COFuser(rng, cfg.fuser, cfg.encoders)
     geo = [_ts(rng.normal(size=(b, v * p, d)), "geo") for _ in range(n_layers)]
     sp = [_ts(rng.normal(size=(b, v * p, d)), "spatial3d") for _ in range(n_layers)]
     mask = build_bc_mask(p, v, cfg.fuser.n_agg, layout)

@@ -153,7 +153,7 @@ def _thinker(seed=0):
     rng = np.random.default_rng(seed)
     cfg = ThinkerConfig(d_model=16, n_layers=2, n_heads=2, d_ff=32,
                         n_dyn_per_view=2, n_dep=2, n_instr_tokens=1,
-                        decoder_layers=1, decoder_heads=2, decoder_d_ff=32)
+                        decoder_layers=1)
     th = CSThinker(rng, cfg, n_views=3, k_obj=2, n_agg=4, d_v=8, d_t=4,
                    chunk=4, action_dim=2, n_patches=16)
     return th

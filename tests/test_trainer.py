@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsevla import blocks, tensor
 from sparsevla.config import micro_config, toy_config
 from sparsevla.model import VLAModel
 from sparsevla.tensor import ContractError, Tape, Tensor, backward, grad_of, parameter
@@ -87,7 +88,7 @@ def test_train_runs_and_is_deterministic():
     eps = _episodes(2)
     m1, s1 = train(cfg, eps)
     m2, s2 = train(cfg, eps)
-    assert s1 == s2
+    assert s1 == s2 and [r["step"] for r in s1] == [0, 1, 2]
     for (k1, p1), (k2, p2) in zip(sorted(m1.named_parameters().items()),
                                   sorted(m2.named_parameters().items())):
         assert k1 == k2
@@ -225,3 +226,28 @@ def test_run_grad_checks_micro_config():
     assert report["pass"], report["failing_groups"]
     assert report["frozen_zero_grad"]
     assert set(report["groups"]) >= {"film", "sc_attn", "decoders", "heads"}
+
+
+def _tanh_with_1pct_backward_error(x):
+    x = tensor.as_tensor(x)
+    y = np.tanh(x.data)
+    return tensor._record(Tensor(y), (x,), lambda g: (1.01 * g * (1.0 - y * y),))
+
+
+def _layer_norm_without_y_term(x, eps=1e-5):
+    x = tensor.as_tensor(x)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + eps)
+    y = (x.data - x.data.mean(axis=-1, keepdims=True)) * inv
+    return tensor._record(Tensor(y), (x,),
+                          lambda g: ((g - g.mean(axis=-1, keepdims=True)) * inv,))
+
+
+@pytest.mark.parametrize("name,mutant", [
+    ("tanh", _tanh_with_1pct_backward_error),
+    ("layer_norm", _layer_norm_without_y_term)])
+def test_run_grad_checks_catches_wrong_backward(monkeypatch, name, mutant):
+    # the forward values stay exact; only the backward rule is wrong
+    monkeypatch.setattr(blocks, name, mutant)
+    report = run_grad_checks(micro_config(), seed=0)
+    assert not report["pass"]
+    assert set(report["failing_groups"]) - {"frozen"}

@@ -266,6 +266,13 @@ def test_dataset_rejects_bad_version(tmp_path):
         load_dataset(str(path))
 
 
+def test_dataset_rejects_header_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[]\n")
+    with pytest.raises(ContractError, match="format"):
+        load_dataset(str(path))
+
+
 # ---------------------------------------------------------------------------
 # dynamic-object supervision oracle
 
