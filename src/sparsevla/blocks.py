@@ -49,43 +49,42 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 class Linear(Module):
     def __init__(self, rng, d_in: int, d_out: int, bias: bool = True,
-                 trainable: bool = True, zero_init: bool = False):
+                 zero_init: bool = False):
         super().__init__()
         w0 = np.zeros((d_in, d_out)) if zero_init else glorot(rng, d_in, d_out)
-        self.w = self.add_param("w", w0, trainable)
-        self.b = self.add_param("b", np.zeros(d_out), trainable) if bias else None
+        self.w = self.add_param("w", w0)
+        self.b = self.add_param("b", np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = matmul(x, self.w)
         return y + self.b if self.b is not None else y
 
 
-class LayerNorm(Module):
-    def __init__(self, d: int, trainable: bool = True, eps: float = 1e-5):
-        super().__init__()
-        self.eps = eps
-        self.g = self.add_param("g", np.ones(d), trainable)
-        self.b = self.add_param("b", np.zeros(d), trainable)
+class LayerNorm:
+    """Normalization without gain or bias. Every norm here feeds only
+    linear maps (attention's wq/wk/wv, the FFN's w1), and a linear map
+    absorbs a per-feature gain into its rows and a bias into its own bias."""
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, eps=self.eps) * self.g + self.b
+        return layer_norm(x)
 
 
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention; queries and keys/values share width d."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, trainable: bool = True):
+    def __init__(self, rng, d_model: int, n_heads: int):
         super().__init__()
         if d_model % n_heads:
             raise ConfigError(f"d_model {d_model} not divisible by heads {n_heads}")
         self.d_model, self.n_heads, self.d_head = d_model, n_heads, d_model // n_heads
-        self.wq = self.add_module("wq", Linear(rng, d_model, d_model, trainable=trainable))
+        self.wq = self.add_module("wq", Linear(rng, d_model, d_model))
         # no key bias: it adds q·b to every score in a query's row, and
-        # softmax cancels any shift shared by a row
-        self.wk = self.add_module("wk", Linear(rng, d_model, d_model, bias=False,
-                                               trainable=trainable))
-        self.wv = self.add_module("wv", Linear(rng, d_model, d_model, trainable=trainable))
-        self.wo = self.add_module("wo", Linear(rng, d_model, d_model, trainable=trainable))
+        # softmax cancels any shift shared by a row. No value bias: each
+        # attention row sums to one, so a value bias c leaves as c·W_o,
+        # a constant that wo's own bias already provides
+        self.wk = self.add_module("wk", Linear(rng, d_model, d_model, bias=False))
+        self.wv = self.add_module("wv", Linear(rng, d_model, d_model, bias=False))
+        self.wo = self.add_module("wo", Linear(rng, d_model, d_model))
 
     def _split(self, x: Tensor, n: int) -> Tensor:
         b = x.shape[:-2]
@@ -106,10 +105,10 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    def __init__(self, rng, d_model: int, d_ff: int, trainable: bool = True):
+    def __init__(self, rng, d_model: int, d_ff: int):
         super().__init__()
-        self.w1 = self.add_module("w1", Linear(rng, d_model, d_ff, trainable=trainable))
-        self.w2 = self.add_module("w2", Linear(rng, d_ff, d_model, trainable=trainable))
+        self.w1 = self.add_module("w1", Linear(rng, d_model, d_ff))
+        self.w2 = self.add_module("w2", Linear(rng, d_ff, d_model))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.w2(tanh(self.w1(x)))
@@ -118,14 +117,11 @@ class FeedForward(Module):
 class TransformerLayer(Module):
     """Pre-LN self-attention block: x + Attn(LN(x)); h + FFN(LN(h))."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int,
-                 trainable: bool = True):
+    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int):
         super().__init__()
-        self.ln1 = self.add_module("ln1", LayerNorm(d_model, trainable))
-        self.attn = self.add_module("attn", MultiHeadAttention(rng, d_model, n_heads,
-                                                               trainable=trainable))
-        self.ln2 = self.add_module("ln2", LayerNorm(d_model, trainable))
-        self.ffn = self.add_module("ffn", FeedForward(rng, d_model, d_ff, trainable))
+        self.ln1, self.ln2 = LayerNorm(), LayerNorm()
+        self.attn = self.add_module("attn", MultiHeadAttention(rng, d_model, n_heads))
+        self.ffn = self.add_module("ffn", FeedForward(rng, d_model, d_ff))
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         z = self.ln1(x)
@@ -136,12 +132,10 @@ class TransformerLayer(Module):
 class CrossAttnLayer(Module):
     """Fusion layer: FFN(CrossAttn(q, kv)) + q (residual from the layer input)."""
 
-    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int,
-                 trainable: bool = True):
+    def __init__(self, rng, d_model: int, n_heads: int, d_ff: int):
         super().__init__()
-        self.attn = self.add_module("attn", MultiHeadAttention(rng, d_model, n_heads,
-                                                               trainable=trainable))
-        self.ffn = self.add_module("ffn", FeedForward(rng, d_model, d_ff, trainable))
+        self.attn = self.add_module("attn", MultiHeadAttention(rng, d_model, n_heads))
+        self.ffn = self.add_module("ffn", FeedForward(rng, d_model, d_ff))
 
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
         return self.ffn(self.attn(q, kv)) + q

@@ -191,7 +191,28 @@ def load_config(path: str) -> FullConfig:
         return config_from_dict(json.load(fh))
 
 
+# the least value of every integer size and count; n_views and
+# world.n_colors have their own ranges below
+_LEAST = {
+    "world": {"image_size": 1, "patch_size": 1, "n_distractors_min": 0,
+              "horizon": 1, "chunk": 1},
+    "encoders": {"d_v": 2, "d_t": 1, "n_heads": 1, "n_layers_sem": 0,
+                 "n_layers_geo": 1, "d_ff": 1},
+    "aligner": {"k": 1, "n_layers": 0},
+    "fuser": {"n_agg": 0},
+    "thinker": {"d_model": 1, "n_layers": 0, "n_heads": 1, "d_ff": 1,
+                "n_dyn_per_view": 1, "n_dep": 1, "n_instr_tokens": 0,
+                "decoder_layers": 0},
+    "train": {"steps": 0, "batch_size": 1, "smooth_window": 1},
+}
+
+
 def validate(cfg: FullConfig) -> None:
+    for section, least in _LEAST.items():
+        for name, lo in least.items():
+            value = getattr(getattr(cfg, section), name)
+            if value < lo:
+                raise ConfigError(f"{section}.{name} must be >= {lo}, got {value}")
     if not 1 <= cfg.n_views <= 3:
         raise ConfigError(f"n_views must be 1..3, got {cfg.n_views}")
     from .world import COLORS  # deferred: world imports this module
@@ -203,8 +224,6 @@ def validate(cfg: FullConfig) -> None:
         raise ConfigError(f"k={cfg.aligner.k} exceeds patch count {cfg.world.n_patches}")
     if cfg.fuser.layout not in ("two-block", "per-view"):
         raise ConfigError(f"unknown fuser layout {cfg.fuser.layout!r}")
-    if cfg.train.steps < 0 or cfg.train.batch_size < 1:
-        raise ConfigError("train.steps must be >= 0 and batch_size >= 1")
 
 
 def toy_config() -> FullConfig:

@@ -56,9 +56,9 @@ class SemanticEncoder(Module):
         self.cfg = cfg
         self.embed = self.add_module("embed", Linear(rng, patch_dim, cfg.d_v))
         self.pos = self.add_param("pos", position_code(n_patches, cfg.d_v))
-        self.lns, self.attns, self.film_g, self.film_b = [], [], [], []
+        self.ln = LayerNorm()
+        self.attns, self.film_g, self.film_b = [], [], []
         for i in range(cfg.n_layers_sem):
-            self.lns.append(self.add_module(f"ln{i}", LayerNorm(cfg.d_v)))
             self.attns.append(self.add_module(
                 f"attn{i}", MultiHeadAttention(rng, cfg.d_v, cfg.n_heads)))
             # zero-init FiLM maps: training starts at identity modulation
@@ -73,13 +73,13 @@ class SemanticEncoder(Module):
             raise ConfigError(f"instruction width {t.shape[-1]} != d_t {self.cfg.d_t}")
         z = self.embed(patches) + self.pos
         extra = z.ndim - t.ndim - 1  # broadcast t over view/token axes
-        for ln, attn, fg, fb in zip(self.lns, self.attns, self.film_g, self.film_b):
+        for attn, fg, fb in zip(self.attns, self.film_g, self.film_b):
             gamma = fg(t)
             beta = fb(t)
             for _ in range(extra + 1):
                 gamma = reshape(gamma, (*gamma.shape[:-1], 1, gamma.shape[-1]))
                 beta = reshape(beta, (*beta.shape[:-1], 1, beta.shape[-1]))
-            zn = ln(z)
+            zn = self.ln(z)
             a = z + attn(zn, zn)
             z = (1.0 + gamma) * a + beta
         return z
@@ -116,18 +116,16 @@ class Spatial3DEncoder(Module):
         d_geo = max(2, cfg.d_v // 2)
         d_px = cfg.d_v - d_geo
         geo_in = 1 + world.n_colors + 1  # depth + color channels + gripper channel
-        self.embed_px = self.add_module("embed_px",
-                                        Linear(rng, patch_dim, d_px, trainable=False))
-        self.embed_geo = self.add_module("embed_geo",
-                                         Linear(rng, geo_in, d_geo, trainable=False))
+        self.embed_px = self.add_module("embed_px", Linear(rng, patch_dim, d_px))
+        self.embed_geo = self.add_module("embed_geo", Linear(rng, geo_in, d_geo))
         # positional code shared across views: keeps view-permutation equivariance
-        self.pos = self.add_param("pos", position_code(world.n_patches, cfg.d_v),
-                                  trainable=False)
-        self.n_patches = world.n_patches
+        self.pos = self.add_param("pos", position_code(world.n_patches, cfg.d_v))
         self.d_v = cfg.d_v
         self.layers = [self.add_module(
-            f"layer{i}", TransformerLayer(rng, cfg.d_v, cfg.n_heads, cfg.d_ff, trainable=False))
+            f"layer{i}", TransformerLayer(rng, cfg.d_v, cfg.n_heads, cfg.d_ff))
             for i in range(cfg.n_layers_geo)]
+        for p in self.named_parameters().values():
+            p.requires_grad = False
 
     def __call__(self, patches: Tensor, depth: Tensor, obj_ch: Tensor):
         """patches [B,V,P,pd], depth [B,V,P], obj_ch [B,V,P,C].

@@ -189,10 +189,8 @@ def masked_softmax(logits, mask) -> Tensor:
 
 
 def layer_norm(x, eps: float = 1e-5) -> Tensor:
-    """Per-row (last axis) normalization to zero mean / unit variance.
-
-    Pre-affine only; callers apply learned gain/bias with mul/add.
-    """
+    """Per-row (last axis) normalization to zero mean / unit variance,
+    with no gain or bias."""
     x = as_tensor(x)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)

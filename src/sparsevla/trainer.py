@@ -15,7 +15,7 @@ from .tensor import ContractError, Tape, backward, grad_check, grad_of
 from .world import (ACTION_DIM, expert_action, is_success, observe, sample_scene,
                     step_scene, episode_samples)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,17 @@ def save_checkpoint(path: str, model: VLAModel, step: int) -> None:
 def load_checkpoint(path: str, model: VLAModel) -> int:
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ContractError(f"checkpoint must be a JSON object, got {type(blob).__name__}")
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise ContractError(f"unsupported checkpoint version {blob.get('format_version')}")
     if blob.get("config_hash") != model.cfg.arch_hash():
         raise ContractError("checkpoint config hash does not match model config")
-    params = model.named_parameters()
-    saved = blob["params"]
+    params, saved, step = model.named_parameters(), blob.get("params"), blob.get("step")
+    if not isinstance(saved, dict):
+        raise ContractError(f"checkpoint params must be a JSON object, got {saved!r:.40}")
+    if type(step) is not int:
+        raise ContractError(f"checkpoint step must be an integer, got {step!r:.40}")
     missing, extra = sorted(set(params) - set(saved)), sorted(set(saved) - set(params))
     if missing or extra:
         raise ContractError(f"checkpoint parameters do not match the model: "
@@ -147,7 +152,7 @@ def load_checkpoint(path: str, model: VLAModel) -> int:
         loaded[name] = arr
     for name, arr in loaded.items():
         params[name].data = arr
-    return int(blob["step"])
+    return step
 
 
 # ---------------------------------------------------------------------------

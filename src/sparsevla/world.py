@@ -308,6 +308,8 @@ def generate_dataset(path: str, seed: int, n_episodes: int, horizon: int | None,
         raise ContractError(f"n_episodes must be >= 1, got {n_episodes}")
     if horizon is not None:
         cfg = WorldConfig(**{**cfg.__dict__, "horizon": horizon})
+    if cfg.horizon < 1:
+        raise ContractError(f"horizon must be >= 1, got {cfg.horizon}")
     rng = np.random.default_rng(seed)
     header = {"format_version": FORMAT_VERSION, "seed": seed, "config_hash": config_hash}
     with open(path, "w") as fh:

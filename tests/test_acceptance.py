@@ -284,6 +284,7 @@ def test_criterion_08_action_invariant_to_aux_decoders():
 # 9. end-to-end training on the reference dataset
 
 
+@pytest.mark.slow
 def test_criterion_09_toy_training():
     t0 = time.time()
     cfg = toy_config()

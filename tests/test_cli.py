@@ -94,6 +94,17 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+def _edited_checkpoint(tmp_path, name, edit):
+    """A saved micro checkpoint with `edit(blob)` applied; returns its path."""
+    from sparsevla.model import VLAModel
+    from sparsevla.trainer import save_checkpoint
+    ck = str(tmp_path / f"{name}.json")
+    save_checkpoint(ck, VLAModel(micro_config(), seed=0), step=0)
+    blob = json.load(open(ck))
+    json.dump(edit(blob), open(ck, "w"))
+    return ck
+
+
 @pytest.mark.parametrize("name,edit,message", [
     ("extra_key", lambda params: params.update({"extra/w": [0.0]}), "extra ['extra/w']"),
     ("missing_key", lambda params: params.pop("fuser/agg0"), "missing ['fuser/agg0']"),
@@ -101,16 +112,34 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, capsys):
      "fuser/agg0 has shape (1, 1)"),
 ])
 def test_eval_rejects_mismatched_checkpoint(tmp_path, capsys, name, edit, message):
-    from sparsevla.model import VLAModel
-    from sparsevla.trainer import save_checkpoint
+    def edit_params(blob):
+        edit(blob["params"])
+        return blob
+
     cfgp = _micro_cfg_file(tmp_path)
-    ck = str(tmp_path / f"{name}.json")
-    save_checkpoint(ck, VLAModel(micro_config(), seed=0), step=0)
-    blob = json.load(open(ck))
-    edit(blob["params"])
-    json.dump(blob, open(ck, "w"))
+    ck = _edited_checkpoint(tmp_path, name, edit_params)
     code, _, err = run(capsys, "eval", "--config", cfgp, "--ckpt", ck, "--episodes", "1")
     assert code == 1 and "error" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda blob: [], "checkpoint must be a JSON object, got list",
+                 id="top_level_list"),
+    pytest.param(lambda blob: {**blob, "params": 5}, "params must be a JSON object",
+                 id="params_int"),
+    pytest.param(lambda blob: {k: v for k, v in blob.items() if k != "step"},
+                 "step must be an integer, got None", id="step_missing"),
+    pytest.param(lambda blob: {**blob, "step": None}, "step must be an integer, got None",
+                 id="step_null"),
+    pytest.param(lambda blob: {**blob, "format_version": 3},
+                 "unsupported checkpoint version 3", id="format_3"),
+])
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
+    cfgp = _micro_cfg_file(tmp_path)
+    ck = _edited_checkpoint(tmp_path, "malformed", edit)
+    code, _, err = run(capsys, "eval", "--config", cfgp, "--ckpt", ck, "--episodes", "1")
+    assert code == 1 and err.startswith("error:") and message in err
     assert "Traceback" not in err
 
 
@@ -225,6 +254,33 @@ def test_config_file_int_fills_float_field(tmp_path):
         p.write_text(json.dumps({"fuser": {"psi": psi}}))
     a, b = (load_config(str(p)) for p in paths)
     assert type(a.fuser.psi) is float and a.config_hash() == b.config_hash()
+
+
+@pytest.mark.parametrize("config,horizon,named", [
+    pytest.param({"thinker": {"n_heads": 0}}, "8", "thinker.n_heads", id="thinker_heads_0"),
+    pytest.param({"encoders": {"n_heads": 0}}, "8", "encoders.n_heads", id="encoder_heads_0"),
+    pytest.param({"encoders": {"d_v": 0}}, "8", "encoders.d_v", id="d_v_0"),
+    pytest.param({"world": {"patch_size": 0}}, "8", "world.patch_size", id="patch_size_0"),
+    pytest.param({"world": {"chunk": 0}}, "8", "world.chunk", id="chunk_0"),
+    pytest.param({"train": {"smooth_window": 0}}, "8", "train.smooth_window",
+                 id="smooth_window_0"),
+    pytest.param({}, "0", "horizon must be >= 1, got 0", id="horizon_0"),
+    pytest.param({}, "-3", "horizon must be >= 1, got -3", id="horizon_negative"),
+])
+def test_bad_sizes_fail_cleanly_before_writing(tmp_path, capsys, config, horizon, named):
+    cfgp = tmp_path / "sizes.json"
+    cfgp.write_text(json.dumps(config))
+    data, ck = tmp_path / "d.jsonl", tmp_path / "ck.json"
+    code, _, err = run(capsys, "gen-data", "--config", str(cfgp), "--episodes", "1",
+                       "--horizon", horizon, "--out", str(data))
+    assert code == 1 and err.startswith("error:") and named in err
+    assert "Traceback" not in err and not data.exists()
+    if config:
+        # the config is refused before the (missing) dataset is opened
+        code, _, err = run(capsys, "train", "--config", str(cfgp), "--data", str(data),
+                           "--steps", "1", "--out", str(ck))
+        assert code == 1 and err.startswith("error:") and named in err
+        assert not ck.exists()
 
 
 @pytest.mark.parametrize("n_colors", [1, 7])

@@ -170,8 +170,7 @@ def test_ig_aggregate_matches_hand_oracle():
 
     x = np.concatenate([geo, agg], axis=0)
     gn = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
-    z = gn * block.ln1.g.data + block.ln1.b.data
-    q, k, v = lin(block.attn.wq, z), lin(block.attn.wk, z), lin(block.attn.wv, z)
+    q, k, v = lin(block.attn.wq, gn), lin(block.attn.wk, gn), lin(block.attn.wv, gn)
     scores = q @ k.T / np.sqrt(d)
     scores[~mask] = -np.inf
     w = np.exp(scores - scores.max(-1, keepdims=True))
@@ -179,8 +178,7 @@ def test_ig_aggregate_matches_hand_oracle():
     w /= w.sum(-1, keepdims=True)
     h = x + lin(block.attn.wo, w @ v)
     hn = (h - h.mean(-1, keepdims=True)) / np.sqrt(h.var(-1, keepdims=True) + 1e-5)
-    z2 = hn * block.ln2.g.data + block.ln2.b.data
-    want = h + lin(block.ffn.w2, np.tanh(lin(block.ffn.w1, z2)))
+    want = h + lin(block.ffn.w2, np.tanh(lin(block.ffn.w1, hn)))
     np.testing.assert_allclose(np.concatenate([got.tokens.data, agg_out.data]),
                                want, rtol=1e-10, atol=1e-12)
 
