@@ -21,17 +21,11 @@ from .tensor import ConfigError
 
 @dataclass
 class WorldConfig:
+    """The sizes the network is built from, and the episode length; the
+    scene physics are constants in `world.py`."""
     image_size: int = 16
     patch_size: int = 4
     n_colors: int = 4
-    n_distractors_min: int = 1
-    n_distractors_max: int = 3
-    object_half: float = 0.14
-    gripper_half: float = 0.12
-    p_gain: float = 2.0
-    dt: float = 0.07
-    capture_radius: float = 0.15
-    explore_noise: float = 0.4   # action noise during data collection
     horizon: int = 32
     chunk: int = 8           # action chunk length K
 
@@ -194,8 +188,7 @@ def load_config(path: str) -> FullConfig:
 # the least value of every integer size and count; n_views and
 # world.n_colors have their own ranges below
 _LEAST = {
-    "world": {"image_size": 1, "patch_size": 1, "n_distractors_min": 0,
-              "horizon": 1, "chunk": 1},
+    "world": {"image_size": 1, "patch_size": 1, "horizon": 1, "chunk": 1},
     "encoders": {"d_v": 2, "d_t": 1, "n_heads": 1, "n_layers_sem": 0,
                  "n_layers_geo": 1, "d_ff": 1},
     "aligner": {"k": 1, "n_layers": 0},

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import LayerNorm, Linear, Module, MultiHeadAttention, TransformerLayer
 from .config import EncoderConfig, WorldConfig
-from .tensor import ConfigError, Tensor, concat, embedding, reshape
+from .tensor import ConfigError, Tensor, concat, gather_rows, reshape
 
 
 def position_code(n_patches: int, d: int) -> np.ndarray:
@@ -156,4 +156,4 @@ class InstructionTable(Module):
         self.table = self.add_param("table", rng.normal(size=(n_instructions, d_t)))
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        return embedding(self.table, np.asarray(ids))
+        return gather_rows(self.table, np.asarray(ids))

@@ -53,6 +53,14 @@ class VLAModel(Module):
 
     # -- forward ----------------------------------------------------------
 
+    def _patches(self, batch: dict):
+        """(patches [B,V,P,·], depth [B,V,P], obj_channels [B,V,P,C]) of the
+        first n_views views of an observation batch."""
+        views = np.asarray(batch["views"])[:, :self.n_views]
+        return (Tensor(patchify(views, self.cfg.world.patch_size)),
+                Tensor(np.asarray(batch["depth_patch"])[:, :self.n_views]),
+                Tensor(np.asarray(batch["obj_channels"])[:, :self.n_views]))
+
     def encode(self, batch: dict):
         """Run the three streams + aligner + fuser on one observation batch.
 
@@ -60,12 +68,8 @@ class VLAModel(Module):
         obj_channels [B,V,P,C], instruction_id [B].
         Returns (obj3d tokens [B,V,K,d], agg token set, t, view -> selection).
         """
-        wc = self.cfg.world
-        views = np.asarray(batch["views"])[:, :self.n_views]
-        depth = Tensor(np.asarray(batch["depth_patch"])[:, :self.n_views])
-        obj_ch = Tensor(np.asarray(batch["obj_channels"])[:, :self.n_views])
-        b, v, p = views.shape[0], self.n_views, wc.n_patches
-        patches = Tensor(patchify(views, wc.patch_size))
+        patches, depth, obj_ch = self._patches(batch)
+        b, v, p = patches.shape[0], self.n_views, self.cfg.world.n_patches
         t = self.instructions(batch["instruction_id"])
 
         z_sem = self.semantic(patches, t)                      # [B,V,P,d]
@@ -97,12 +101,7 @@ class VLAModel(Module):
 
     def spatial_features_view0(self, batch: dict) -> np.ndarray:
         """Frozen spatial-stream final features of view M (supervision only)."""
-        wc = self.cfg.world
-        views = np.asarray(batch["views"])[:, :self.n_views]
-        depth = Tensor(np.asarray(batch["depth_patch"])[:, :self.n_views])
-        obj_ch = Tensor(np.asarray(batch["obj_channels"])[:, :self.n_views])
-        patches = Tensor(patchify(views, wc.patch_size))
-        _, final = self.spatial(patches, depth, obj_ch)
+        _, final = self.spatial(*self._patches(batch))
         return final.data[:, 0]
 
     def compute_losses(self, batch: dict, enable_dyn: bool = True,

@@ -45,7 +45,7 @@ _ACTIVE: list[Tape] = []
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -53,7 +53,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.node_id = None
 
     @property
     def shape(self):
@@ -116,10 +115,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _record(out: Tensor, inputs, backward):
     """Attach op to the active tape if anything in `inputs` carries grad."""
     if _ACTIVE and any(t.requires_grad for t in inputs):
-        tape = _ACTIVE[-1]
         out.requires_grad = True
-        out.node_id = len(tape.ops)
-        tape.ops.append((out, tuple(inputs), backward))
+        _ACTIVE[-1].ops.append((out, tuple(inputs), backward))
     return out
 
 
@@ -298,20 +295,6 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
         return (full,)
 
     return _record(out, (x,), bwd)
-
-
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup: table [V, d], ids int array [...], -> [..., d]."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    out = Tensor(table.data[ids])
-
-    def bwd(g):
-        full = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        return (full,)
-
-    return _record(out, (table,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import numpy as np
 from .config import FullConfig
 from .model import VLAModel
 from .tensor import ContractError, Tape, backward, grad_check, grad_of
-from .world import (ACTION_DIM, expert_action, is_success, observe, sample_scene,
-                    step_scene, episode_samples)
+from .world import (ACTION_DIM, episode_samples, expert_action, expert_chunk, is_success,
+                    observe, sample_scene, step_scene)
 
 CHECKPOINT_VERSION = 4
 
@@ -230,17 +230,11 @@ def evaluate_closed_loop(policy, cfg: FullConfig, n_episodes: int, seed: int = 1
     n_chunks = -(-wc.horizon // wc.chunk)
     for _ in range(n_episodes):
         scene, instr = sample_scene(rng, wc)
-        done = is_success(scene, wc)
+        done = is_success(scene)
         t = 0
         for _c in range(n_chunks):
             if expert:
-                actions = []
-                s = scene
-                for _k in range(wc.chunk):
-                    a = expert_action(s, wc)
-                    actions.append(a)
-                    s = step_scene(s, a, wc)
-                actions = np.stack(actions)
+                actions = expert_chunk(scene, wc.chunk)
             else:
                 obs = observe(scene, wc, n_views=cfg.n_views)
                 batch = {
@@ -251,10 +245,10 @@ def evaluate_closed_loop(policy, cfg: FullConfig, n_episodes: int, seed: int = 1
                 }
                 actions = np.asarray(policy(batch))[0]
             for a in actions:
-                l1s.append(float(np.abs(a - expert_action(scene, wc)).mean()))
-                scene = step_scene(scene, a, wc)
+                l1s.append(float(np.abs(a - expert_action(scene)).mean()))
+                scene = step_scene(scene, a)
                 t += 1
-                if t <= wc.horizon and is_success(scene, wc):
+                if t <= wc.horizon and is_success(scene):
                     done = True
             if done:
                 break

@@ -37,6 +37,14 @@ GRIPPER_COLOR = np.array([1.0, 0.0, 1.0])
 
 OBJECT_HEIGHT = 0.5
 GRIPPER_HEIGHT = 0.8
+OBJECT_HALF = 0.14       # half-width of every object square
+GRIPPER_HALF = 0.12      # half-width of the gripper square
+N_DISTRACTORS_MIN = 1    # distractor objects per scene, inclusive range
+N_DISTRACTORS_MAX = 3
+P_GAIN = 2.0             # expert controller gain
+DT = 0.07                # time step of the scene update
+CAPTURE_RADIUS = 0.15    # success distance to the target
+EXPLORE_NOISE = 0.4      # action noise during data collection
 
 # view index -> (A, b): workspace point p maps to A @ p + b
 VIEW_AFFINES = [
@@ -51,7 +59,6 @@ VIEW_NAMES = ["M", "L", "R"]
 class SceneObject:
     pos: np.ndarray
     color: int
-    half: float
 
 
 @dataclass
@@ -62,7 +69,7 @@ class Scene:
 
     def copy(self) -> "Scene":
         return Scene(self.gripper.copy(),
-                     [SceneObject(o.pos.copy(), o.color, o.half) for o in self.objects],
+                     [SceneObject(o.pos.copy(), o.color) for o in self.objects],
                      self.target_idx)
 
     @property
@@ -73,36 +80,45 @@ class Scene:
 def sample_scene(rng: np.random.Generator, cfg: WorldConfig) -> tuple[Scene, int]:
     """Random scene; the instruction id is the target object's color id."""
     target_color = int(rng.integers(cfg.n_colors))
-    n_dis = int(rng.integers(cfg.n_distractors_min, cfg.n_distractors_max + 1))
+    n_dis = int(rng.integers(N_DISTRACTORS_MIN, N_DISTRACTORS_MAX + 1))
     objects = []
     lo, hi = 0.12, 0.88
-    objects.append(SceneObject(rng.uniform(lo, hi, 2), target_color, cfg.object_half))
+    objects.append(SceneObject(rng.uniform(lo, hi, 2), target_color))
     others = [c for c in range(cfg.n_colors) if c != target_color]
     for _ in range(n_dis):
         c = others[int(rng.integers(len(others)))]
-        objects.append(SceneObject(rng.uniform(lo, hi, 2), c, cfg.object_half))
+        objects.append(SceneObject(rng.uniform(lo, hi, 2), c))
     while True:
         gripper = rng.uniform(lo, hi, 2)
-        if np.linalg.norm(gripper - objects[0].pos) > 3 * cfg.capture_radius:
+        if np.linalg.norm(gripper - objects[0].pos) > 3 * CAPTURE_RADIUS:
             break
     return Scene(gripper, objects, 0), target_color
 
 
-def expert_action(scene: Scene, cfg: WorldConfig) -> np.ndarray:
+def expert_action(scene: Scene) -> np.ndarray:
     """Clipped proportional velocity toward the target object."""
     delta = scene.target.pos - scene.gripper
-    return np.clip(cfg.p_gain * delta, -1.0, 1.0)
+    return np.clip(P_GAIN * delta, -1.0, 1.0)
 
 
-def step_scene(scene: Scene, action: np.ndarray, cfg: WorldConfig) -> Scene:
+def step_scene(scene: Scene, action: np.ndarray) -> Scene:
     nxt = scene.copy()
     a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-    nxt.gripper = np.clip(nxt.gripper + cfg.dt * a, 0.0, 1.0)
+    nxt.gripper = np.clip(nxt.gripper + DT * a, 0.0, 1.0)
     return nxt
 
 
-def is_success(scene: Scene, cfg: WorldConfig) -> bool:
-    return float(np.linalg.norm(scene.gripper - scene.target.pos)) <= cfg.capture_radius
+def is_success(scene: Scene) -> bool:
+    return float(np.linalg.norm(scene.gripper - scene.target.pos)) <= CAPTURE_RADIUS
+
+
+def expert_chunk(scene: Scene, chunk: int) -> np.ndarray:
+    """The noise-free expert's next `chunk` actions from `scene` -> [chunk, d_a]."""
+    actions = []
+    for _ in range(chunk):
+        actions.append(expert_action(scene))
+        scene = step_scene(scene, actions[-1])
+    return np.stack(actions)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +171,8 @@ def render_view(scene: Scene, view: int, cfg: WorldConfig):
     order.append(scene.target_idx)
     for i in order:
         o = scene.objects[i]
-        draw(o.pos, o.half, COLORS[o.color], o.color, OBJECT_HEIGHT)
-    draw(scene.gripper, cfg.gripper_half, GRIPPER_COLOR, cfg.n_colors, GRIPPER_HEIGHT)
+        draw(o.pos, OBJECT_HALF, COLORS[o.color], o.color, OBJECT_HEIGHT)
+    draw(scene.gripper, GRIPPER_HALF, GRIPPER_COLOR, cfg.n_colors, GRIPPER_HEIGHT)
     return img, depth, ids
 
 
@@ -179,15 +195,14 @@ def object_channels(scene: Scene, view: int, cfg: WorldConfig) -> np.ndarray:
     grid = _pixel_grid(size)
     cover = np.zeros((cfg.n_colors + 1, size, size), dtype=bool)
     for o in scene.objects:
-        cover[o.color] |= _footprint(o.pos, o.half, view, grid)
-    cover[-1] = _footprint(scene.gripper, cfg.gripper_half, view, grid)
+        cover[o.color] |= _footprint(o.pos, OBJECT_HALF, view, grid)
+    cover[-1] = _footprint(scene.gripper, GRIPPER_HALF, view, grid)
     return patch_reduce(cover.astype(float), cfg.patch_size).T
 
 
 def target_patch_mask(scene: Scene, view: int, cfg: WorldConfig) -> np.ndarray:
     """Boolean [P]: patches whose footprint overlaps the target object."""
-    t = scene.target
-    cover = _footprint(t.pos, t.half, view, _pixel_grid(cfg.image_size))
+    cover = _footprint(scene.target.pos, OBJECT_HALF, view, _pixel_grid(cfg.image_size))
     return patch_reduce(cover.astype(float), cfg.patch_size) > 0
 
 
@@ -213,11 +228,11 @@ def observe(scene: Scene, cfg: WorldConfig, n_views: int = 3) -> dict:
 
 def replay_succeeds(scene: Scene, actions: np.ndarray, cfg: WorldConfig) -> bool:
     s = scene.copy()
-    if is_success(s, cfg):
+    if is_success(s):
         return True
     for t, a in enumerate(actions):
-        s = step_scene(s, a, cfg)
-        if t + 1 <= cfg.horizon and is_success(s, cfg):
+        s = step_scene(s, a)
+        if t + 1 <= cfg.horizon and is_success(s):
             return True
     return False
 
@@ -237,20 +252,15 @@ def run_expert_episode(rng: np.random.Generator, cfg: WorldConfig, n_views: int 
         start, instr = sample_scene(rng, cfg)
         scene = start.copy()
         obs = [observe(scene, cfg, n_views)]
-        actions = []
+        chunks = []
         for _c in range(n_chunks):
-            s = scene.copy()
-            for _k in range(cfg.chunk):
-                a = expert_action(s, cfg)
-                actions.append(a)
-                s = step_scene(s, a, cfg)
+            chunks.append(expert_chunk(scene, cfg.chunk))
             for _k in range(cfg.chunk):
                 noisy = np.clip(
-                    expert_action(scene, cfg) + rng.normal(0.0, cfg.explore_noise, 2),
-                    -1.0, 1.0)
-                scene = step_scene(scene, noisy, cfg)
+                    expert_action(scene) + rng.normal(0.0, EXPLORE_NOISE, 2), -1.0, 1.0)
+                scene = step_scene(scene, noisy)
             obs.append(observe(scene, cfg, n_views))
-        actions = np.stack(actions)  # [n_chunks*K, d_a]
+        actions = np.concatenate(chunks)  # [n_chunks*K, d_a]
         if replay_succeeds(start, actions, cfg):
             return {
                 "instruction_id": instr,

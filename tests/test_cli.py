@@ -222,11 +222,15 @@ def test_config_file_with_removed_train_dtype(tmp_path, capsys):
     ("encoders", "n_instructions"), ("world", "action_dim"),
     ("aligner", "n_heads"), ("aligner", "d_ff"), ("fuser", "n_heads"),
     ("fuser", "d_ff"), ("fuser", "schedule"), ("thinker", "decoder_heads"),
-    ("thinker", "decoder_d_ff"), ("train", "log_every")])
+    ("thinker", "decoder_d_ff"), ("train", "log_every"),
+    ("world", "object_half"), ("world", "gripper_half"), ("world", "p_gain"),
+    ("world", "dt"), ("world", "capture_radius"), ("world", "explore_noise"),
+    ("world", "n_distractors_min"), ("world", "n_distractors_max")])
 def test_config_file_with_removed_derived_value(tmp_path, capsys, section, key):
     # instruction count is world.n_colors; the action width is world.ACTION_DIM;
     # d_v blocks take encoders.n_heads/d_ff and d_model blocks thinker's; alpha
-    # has one (cosine) schedule; every training step is logged
+    # has one (cosine) schedule; every training step is logged; the scene
+    # physics are world.py constants
     bad = tmp_path / f"{key}.json"
     bad.write_text(json.dumps({section: {key: 3}}))
     code, _, err = run(capsys, "audit-budget", "--config", str(bad))
@@ -266,6 +270,12 @@ def test_config_file_int_fills_float_field(tmp_path):
                  id="smooth_window_0"),
     pytest.param({}, "0", "horizon must be >= 1, got 0", id="horizon_0"),
     pytest.param({}, "-3", "horizon must be >= 1, got -3", id="horizon_negative"),
+    # scene physics are constants, so these keys are refused as unknown
+    pytest.param({"world": {"n_distractors_max": 0}}, "8", "n_distractors_max",
+                 id="n_distractors_max_0"),
+    pytest.param({"world": {"capture_radius": -1}}, "8", "capture_radius",
+                 id="capture_radius_negative"),
+    pytest.param({"world": {"p_gain": 0.0}}, "8", "p_gain", id="p_gain_0"),
 ])
 def test_bad_sizes_fail_cleanly_before_writing(tmp_path, capsys, config, horizon, named):
     cfgp = tmp_path / "sizes.json"

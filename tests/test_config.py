@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,3 +62,15 @@ def test_every_model_config_value_changes_the_network(name, toy_batch):
     if _shapes(model) == _shapes(toy):
         # the listed world values all change shapes, so the toy batch fits
         assert _outputs(model, toy_batch) != _outputs(toy, toy_batch)
+
+
+def test_readme_lists_every_settable_value():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([\w.]+)` \[", section, flags=re.M)
+    settable = []
+    for key, value in FullConfig().to_dict().items():
+        settable += [f"{key}.{name}" for name in value] if isinstance(value, dict) else [key]
+    assert sorted(listed) == sorted(settable)
+    counted = re.search(r"There are (\d+) settable values", section)
+    assert counted and int(counted.group(1)) == len(settable)

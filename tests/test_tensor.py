@@ -214,20 +214,26 @@ def test_gather_rows_forward_and_backward():
     np.testing.assert_array_equal(grad_of(grads, x), want)
 
 
-@pytest.mark.parametrize("indices", [[[0, 4], [3, 1], [2, 2]], [[1, 1], [0, 0], [4, 4]]],
-                         ids=["unique", "duplicate"])
-def test_gather_rows_batched_backward_matches_per_row_loop(indices):
+@pytest.mark.parametrize("x_shape,indices", [
+    ((2, 3, 5, 4), [[0, 4], [3, 1], [2, 2]]),
+    ((2, 3, 5, 4), [[1, 1], [0, 0], [4, 4]]),
+    # a table lookup, as InstructionTable does it: 2-D table, 1-D ids
+    ((5, 4), [3, 0, 3, 1, 4, 4, 2, 0, 3, 1, 1, 4, 0, 2, 3, 3])],
+    ids=["unique", "duplicate", "table_lookup"])
+def test_gather_rows_batched_backward_matches_per_row_loop(x_shape, indices):
     rng = np.random.default_rng(7)
-    x = parameter(rng.normal(size=(2, 3, 5, 4)))
-    idx = np.broadcast_to(np.array(indices), (2, 3, 2))
-    up = rng.normal(size=(2, 3, 2, 4))
+    x = parameter(rng.normal(size=x_shape))
+    idx = np.broadcast_to(np.array(indices), (*x_shape[:-2], np.shape(indices)[-1]))
+    up = rng.normal(size=(*idx.shape, x_shape[-1]))
     with Tape() as tape:
-        loss = tsum(gather_rows(x, idx) * Tensor(up))
-    want = np.zeros_like(x.data)
-    for b in range(2):
-        for v in range(3):
-            for k in range(2):
-                want[b, v, idx[b, v, k]] += up[b, v, k]
+        out = gather_rows(x, idx)
+        loss = tsum(out * Tensor(up))
+    want_out, want = np.zeros_like(up), np.zeros_like(x.data)
+    for pos in np.ndindex(idx.shape):
+        row = (*pos[:-1], idx[pos])
+        want_out[pos] = x.data[row]
+        want[row] += up[pos]
+    np.testing.assert_array_equal(out.data, want_out)
     np.testing.assert_array_equal(grad_of(backward(loss, tape), x), want)
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sparsevla.config import WorldConfig, toy_config
 from sparsevla.tensor import ContractError
-from sparsevla.world import (COLORS, GRIPPER_COLOR, VIEW_AFFINES, Scene,
+from sparsevla.world import (CAPTURE_RADIUS, COLORS, GRIPPER_COLOR, GRIPPER_HALF,
+                             OBJECT_HALF, VIEW_AFFINES, Scene,
                              SceneObject, expert_action, generate_dataset,
                              episode_samples, is_success, load_dataset,
                              object_channels, observe, oracle_dyn_targets,
@@ -19,7 +20,7 @@ WC = WorldConfig()
 
 def _scene(gripper=(0.5, 0.5), target=(0.8, 0.8), color=0):
     return Scene(np.array(gripper, dtype=float),
-                 [SceneObject(np.array(target, dtype=float), color, WC.object_half)], 0)
+                 [SceneObject(np.array(target, dtype=float), color)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -28,22 +29,22 @@ def _scene(gripper=(0.5, 0.5), target=(0.8, 0.8), color=0):
 
 def test_expert_action_proportional_region():
     s = _scene(gripper=(0.5, 0.5), target=(0.55, 0.48))
-    np.testing.assert_allclose(expert_action(s, WC), [0.1, -0.04], rtol=1e-12)
+    np.testing.assert_allclose(expert_action(s), [0.1, -0.04], rtol=1e-12)
 
 
 def test_expert_action_saturates():
     s = _scene(gripper=(0.1, 0.9), target=(0.9, 0.1))
-    np.testing.assert_array_equal(expert_action(s, WC), [1.0, -1.0])
+    np.testing.assert_array_equal(expert_action(s), [1.0, -1.0])
 
 
 def test_expert_action_zero_at_target():
     s = _scene(gripper=(0.4, 0.4), target=(0.4, 0.4))
-    np.testing.assert_array_equal(expert_action(s, WC), [0.0, 0.0])
+    np.testing.assert_array_equal(expert_action(s), [0.0, 0.0])
 
 
 def test_step_scene_euler_update():
     s = _scene(gripper=(0.5, 0.5))
-    nxt = step_scene(s, np.array([1.0, -0.5]), WC)
+    nxt = step_scene(s, np.array([1.0, -0.5]))
     np.testing.assert_allclose(nxt.gripper, [0.5 + 0.07, 0.5 - 0.035], rtol=1e-12)
     # original scene is untouched
     np.testing.assert_array_equal(s.gripper, [0.5, 0.5])
@@ -51,15 +52,15 @@ def test_step_scene_euler_update():
 
 def test_step_scene_clips_action_and_position():
     s = _scene(gripper=(0.99, 0.0))
-    nxt = step_scene(s, np.array([5.0, -5.0]), WC)
+    nxt = step_scene(s, np.array([5.0, -5.0]))
     np.testing.assert_allclose(nxt.gripper, [1.0, 0.0])
 
 
 def test_success_boundary():
-    s = _scene(gripper=(0.0, 0.5), target=(WC.capture_radius, 0.5))
-    assert is_success(s, WC)
-    s2 = _scene(gripper=(0.0, 0.5), target=(WC.capture_radius + 1e-9, 0.5))
-    assert not is_success(s2, WC)
+    s = _scene(gripper=(0.0, 0.5), target=(CAPTURE_RADIUS, 0.5))
+    assert is_success(s)
+    s2 = _scene(gripper=(0.0, 0.5), target=(CAPTURE_RADIUS + 1e-9, 0.5))
+    assert not is_success(s2)
 
 
 def test_expert_reaches_target_within_horizon():
@@ -69,8 +70,8 @@ def test_expert_reaches_target_within_horizon():
         s = scene
         ok = False
         for _t in range(WC.horizon):
-            s = step_scene(s, expert_action(s, WC), WC)
-            if is_success(s, WC):
+            s = step_scene(s, expert_action(s))
+            if is_success(s):
                 ok = True
                 break
         assert ok
@@ -85,7 +86,7 @@ def test_sampled_scene_invariants(seed):
     colors = [o.color for o in scene.objects]
     assert len(set(colors)) >= 1 and all(0 <= c < WC.n_colors for c in colors)
     assert all(c != scene.target.color for c in colors[1:])
-    assert np.linalg.norm(scene.gripper - scene.target.pos) > 3 * WC.capture_radius
+    assert np.linalg.norm(scene.gripper - scene.target.pos) > 3 * CAPTURE_RADIUS
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_object_channels_footprint_coverage():
     assert (ch >= 0.0).all() and (ch <= 1.0).all()
     # total covered pixels in the target channel match the square footprint
     px = (np.arange(WC.image_size) + 0.5) / WC.image_size
-    per_axis = np.sum(np.abs(px - 0.53125) <= WC.object_half)
+    per_axis = np.sum(np.abs(px - 0.53125) <= OBJECT_HALF)
     covered = ch[:, 0].sum() * WC.patch_size ** 2
     np.testing.assert_allclose(covered, per_axis ** 2)
     # colors absent from the scene stay empty
@@ -180,9 +181,9 @@ def test_object_channels_match_per_colour_loop():
                 cov = np.zeros((WC.image_size, WC.image_size))
                 for o in scene.objects:
                     if o.color == color:
-                        cov = np.maximum(cov, cover(o.pos, o.half, v))
+                        cov = np.maximum(cov, cover(o.pos, OBJECT_HALF, v))
                 want.append(patch_reduce(cov, WC.patch_size))
-            want.append(patch_reduce(cover(scene.gripper, WC.gripper_half, v), WC.patch_size))
+            want.append(patch_reduce(cover(scene.gripper, GRIPPER_HALF, v), WC.patch_size))
             np.testing.assert_array_equal(object_channels(scene, v, WC),
                                           np.stack(want, axis=-1))
     assert shared > 0  # some scenes repeat a distractor colour
