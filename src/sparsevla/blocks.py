@@ -86,19 +86,16 @@ class MultiHeadAttention(Module):
         self.wv = self.add_module("wv", Linear(rng, d_model, d_model, bias=False))
         self.wo = self.add_module("wo", Linear(rng, d_model, d_model))
 
-    def _split(self, x: Tensor, n: int) -> Tensor:
-        b = x.shape[:-2]
-        x = reshape(x, (*b, n, self.n_heads, self.d_head))
+    def _split(self, x: Tensor) -> Tensor:
+        x = reshape(x, (*x.shape[:-1], self.n_heads, self.d_head))
         return swapaxes(x, -3, -2)  # [..., h, n, dh]
 
     def __call__(self, q_in: Tensor, kv_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        nq, nk = q_in.shape[-2], kv_in.shape[-2]
-        q = self._split(self.wq(q_in), nq)
-        k = self._split(self.wk(kv_in), nk)
-        v = self._split(self.wv(kv_in), nk)
+        q = self._split(self.wq(q_in))
+        k = self._split(self.wk(kv_in))
+        v = self._split(self.wv(kv_in))
         scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / np.sqrt(self.d_head))
-        allow = np.ones((nq, nk), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        att = masked_softmax(scores, allow)
+        att = masked_softmax(scores, mask)
         ctx = swapaxes(matmul(att, v), -3, -2)
         ctx = reshape(ctx, (*q_in.shape[:-1], self.d_model))
         return self.wo(ctx)

@@ -96,7 +96,8 @@ def cmd_grad_check(args) -> int:
     report["format_version"] = 1
     _write_json(args.out, report)
     for name, g in report["groups"].items():
-        print(f"{name}: max rel err {g['max_rel_err']:.3e} ({g['checked']} entries)")
+        print(f"{name}: max rel err {g['max_rel_err']:.3e} "
+              f"({g['nonzero']} of {g['checked']} entries nonzero)")
     print(f"frozen zero-grad: {report['frozen_zero_grad']}")
     print("PASS" if report["pass"] else f"FAIL: {report['failing_groups']}")
     return 0 if report["pass"] else 1

@@ -72,13 +72,11 @@ class SemanticEncoder(Module):
         if t.shape[-1] != self.cfg.d_t:
             raise ConfigError(f"instruction width {t.shape[-1]} != d_t {self.cfg.d_t}")
         z = self.embed(patches) + self.pos
-        extra = z.ndim - t.ndim - 1  # broadcast t over view/token axes
+        # broadcast t over the view/token axes
+        lift = (*t.shape[:-1], *(1,) * (z.ndim - t.ndim), self.cfg.d_v)
         for attn, fg, fb in zip(self.attns, self.film_g, self.film_b):
-            gamma = fg(t)
-            beta = fb(t)
-            for _ in range(extra + 1):
-                gamma = reshape(gamma, (*gamma.shape[:-1], 1, gamma.shape[-1]))
-                beta = reshape(beta, (*beta.shape[:-1], 1, beta.shape[-1]))
+            gamma = reshape(fg(t), lift)
+            beta = reshape(fb(t), lift)
             zn = self.ln(z)
             a = z + attn(zn, zn)
             z = (1.0 + gamma) * a + beta

@@ -123,15 +123,13 @@ class VLAModel(Module):
             next_feats = self.spatial_features_view0(nxt)
             sel_m = out["selections"]["M"].indices
             tgt, mask = oracle_dyn_targets(
-                {"target_mask_m": np.asarray(batch["target_mask_m"], dtype=bool)},
-                {"target_mask_m": np.asarray(nxt["target_mask_m"], dtype=bool)},
-                sel_m, next_feats)
+                np.asarray(batch["target_mask_m"], dtype=bool),
+                np.asarray(nxt["target_mask_m"], dtype=bool), sel_m, next_feats)
             l_dyn = loss_dyn4d(out["dyn_pred"], aux_target_scale * tgt, mask)
         if enable_dep:
             dep_target = np.asarray(batch["next"]["depth_patch"])[:, :self.n_views]
             l_dep = loss_dep4d(out["dep_pred"], aux_target_scale * dep_target)
-        total, report = total_loss(l_act, l_dyn, l_dep)
-        return total, report
+        return total_loss(l_act, l_dyn, l_dep)
 
     # -- parameter bookkeeping ---------------------------------------------
 

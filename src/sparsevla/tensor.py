@@ -4,15 +4,14 @@ Tensors wrap numpy arrays. Operations executed while a Tape is active are
 recorded in order; `backward` replays the tape in reverse, accumulating
 gradients in a fixed (tape) order so results are bit-reproducible.
 
-All test/oracle code runs in float64. Masked softmax produces exact zeros
-at disallowed positions (additive -LARGE, then hard zeroing).
+All test/oracle code runs in float64. Softmax takes an optional mask:
+without one it is a plain row softmax; with one, disallowed logits become
+-inf, so exp gives them exact zeros.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-MASK_NEG = 1e300  # additive penalty for masked logits; >> any realistic row max
 
 
 class ContractError(ValueError):
@@ -160,22 +159,27 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def masked_softmax(logits, mask) -> Tensor:
-    """Softmax along the last axis restricted to `mask`-allowed entries.
+def masked_softmax(logits, mask=None) -> Tensor:
+    """Softmax along the last axis, restricted to `mask`-allowed entries.
 
-    Disallowed entries come out exactly 0; every row must keep at least
-    one allowed entry. Stabilized by row-max subtraction.
+    With no mask, a plain row softmax. A mask must broadcast to the logits
+    and leave every row at least one allowed entry; disallowed entries come
+    out exactly 0. Stabilized by row-max subtraction.
     """
     logits = as_tensor(logits)
-    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-    m = np.broadcast_to(m.astype(bool), logits.shape)
-    if not m.any(axis=-1).all():
-        raise ContractError("masked_softmax: fully masked row")
-    shifted = logits.data + np.where(m, 0.0, -MASK_NEG)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    y = np.where(m, y, 0.0)
+    if mask is None:
+        y = logits.data - logits.data.max(axis=-1, keepdims=True)
+    else:
+        m = np.asarray(mask, dtype=bool)
+        if np.broadcast_shapes(m.shape, logits.shape) != logits.shape:
+            raise ValueError(f"masked_softmax: mask {m.shape} does not broadcast "
+                             f"to logits {logits.shape}")
+        if not m.any(axis=-1).all():
+            raise ContractError("masked_softmax: fully masked row")
+        y = np.where(m, logits.data, -np.inf)
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bwd(g):
@@ -336,7 +340,8 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-4,
     parameter values. Every entry of `params` is checked, or, with
     `max_entries`, a sample of that many drawn from all of them pooled.
     Returns a report with the max relative error per checked parameter and
-    overall, the number of entries checked and a pass flag.
+    overall, the number of entries checked, how many of them have a nonzero
+    analytic gradient, and a pass flag.
     """
     with Tape() as tape:
         loss = f()
@@ -349,6 +354,7 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-4,
         picks = rng.choice(len(entries), size=max_entries, replace=False)
         entries = [entries[i] for i in picks]
     worst: dict[str, float] = {}
+    nonzero = 0
     for name, p, i in entries:
         flat = p.data.reshape(-1)
         orig = flat[i]
@@ -359,9 +365,10 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-4,
         flat[i] = orig
         numeric = (fp - fm) / (2.0 * step)
         a = float(grad_of(grads, p).reshape(-1)[i])
+        nonzero += a != 0.0
         diff = abs(a - numeric)
         err = diff / max(abs(a), abs(numeric), floor) if diff > floor else 0.0
         worst[name] = max(worst.get(name, 0.0), err)
     max_err = max(worst.values(), default=0.0)
     return {"pass": max_err < tol, "tol": tol, "params": worst,
-            "max_rel_err": max_err, "checked": len(entries)}
+            "max_rel_err": max_err, "checked": len(entries), "nonzero": nonzero}

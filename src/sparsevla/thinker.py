@@ -17,7 +17,7 @@ back, so the action path is identical with or without them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .config import ThinkerConfig
 from .tensor import (ContractError, Tensor, absolute, concat, narrow,
                      reshape, tmean, tsum)
 from .types import TokenSet
+from .world import VIEW_NAMES
 
 
 @dataclass
@@ -42,7 +43,6 @@ class SCAttnLayout:
     n_dyn: int | list[int]
     n_dep: int
     n_action: int
-    view_names: list[str] = field(default_factory=lambda: ["M", "L", "R"])
 
     def _per_view(self, c) -> list[int]:
         counts = [c] * self.n_views if isinstance(c, int) else list(c)
@@ -51,7 +51,7 @@ class SCAttnLayout:
         return counts
 
     def segments(self) -> list[tuple[str, int]]:
-        views = self.view_names[:self.n_views]
+        views = VIEW_NAMES[:self.n_views]
         segs = [(f"obj:{v}", c) for v, c in zip(views, self._per_view(self.n_obj))]
         segs += [("agg", self.n_agg), ("instr", self.n_instr)]
         segs += [(f"dyn:{v}", c) for v, c in zip(views, self._per_view(self.n_dyn))]
@@ -101,18 +101,6 @@ def build_sc_mask(layout: SCAttnLayout) -> np.ndarray:
     return mask
 
 
-@dataclass
-class LossReport:
-    l_action: float
-    l_dyn4d: float
-    l_dep4d: float
-    l_total: float
-
-    def to_dict(self) -> dict:
-        return {"l_action": self.l_action, "l_dyn4d": self.l_dyn4d,
-                "l_dep4d": self.l_dep4d, "l_total": self.l_total}
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -145,11 +133,11 @@ def loss_action(pred: Tensor, target: np.ndarray) -> Tensor:
     return tmean(absolute(pred - Tensor(np.asarray(target))))
 
 
-def total_loss(l_action: Tensor, l_dyn: Tensor, l_dep: Tensor) -> tuple[Tensor, LossReport]:
+def total_loss(l_action: Tensor, l_dyn: Tensor, l_dep: Tensor) -> tuple[Tensor, dict]:
+    """(sum of the three terms, each term's and the sum's value by name)."""
     total = l_action + l_dyn + l_dep
-    report = LossReport(float(l_action.data), float(l_dyn.data),
-                        float(l_dep.data), float(total.data))
-    return total, report
+    return total, {"l_action": float(l_action.data), "l_dyn4d": float(l_dyn.data),
+                   "l_dep4d": float(l_dep.data), "l_total": float(total.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +244,7 @@ class CSThinker(Module):
 
     def decode_dynamic(self, states: dict[str, Tensor]) -> Tensor:
         dyn_all = concat([states[f"dyn:{v}"]
-                          for v in self.layout.view_names[:self.layout.n_views]], axis=-2)
+                          for v in VIEW_NAMES[:self.layout.n_views]], axis=-2)
         return self.dyn_decoder(dyn_all)
 
     def decode_depth(self, states: dict[str, Tensor]) -> Tensor:

@@ -184,10 +184,10 @@ def train(cfg: FullConfig, episodes: list[dict], loss_sink=None) -> tuple[VLAMod
                 aux_target_scale=tc.aux_target_scale)
         if not np.isfinite(total.data):
             raise ContractError(
-                f"non-finite loss at step {step}: {report.to_dict()}")
+                f"non-finite loss at step {step}: {report}")
         grads = backward(total, tape)
         opt.step(grads)
-        rec = {"step": step, **report.to_dict()}
+        rec = {"step": step, **report}
         stream.append(rec)
         if loss_sink is not None:
             loss_sink(rec)
@@ -288,7 +288,7 @@ def run_grad_checks(cfg: FullConfig, seed: int = 0, n_per_group: int = 32,
             if batch is None:
                 batch = cand
             _, rep = model.compute_losses(cand)
-            if rep.l_dyn4d > 0:
+            if rep["l_dyn4d"] > 0:
                 batch = cand
                 break
         else:
@@ -304,7 +304,7 @@ def run_grad_checks(cfg: FullConfig, seed: int = 0, n_per_group: int = 32,
         rep = grad_check(f, dict(sorted(group.items())), step=step, tol=tol,
                          floor=floor, rng=rng, max_entries=n_per_group)
         report["groups"][gname] = {"max_rel_err": rep["max_rel_err"],
-                                   "checked": rep["checked"]}
+                                   "checked": rep["checked"], "nonzero": rep["nonzero"]}
         if not rep["pass"]:
             report["pass"] = False
             report["failing_groups"].append(gname)

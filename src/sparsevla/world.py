@@ -351,16 +351,18 @@ def episode_samples(ep: dict, chunk: int):
                ep["instruction_id"])
 
 
-def oracle_dyn_targets(obs: dict, next_obs: dict, sel_indices: np.ndarray,
-                       next_feats_m: np.ndarray):
+def oracle_dyn_targets(target_mask_m: np.ndarray, next_target_mask_m: np.ndarray,
+                       sel_indices: np.ndarray, next_feats_m: np.ndarray):
     """Dynamic-object supervision for view M.
 
+    target_mask_m / next_target_mask_m: [B,P] target footprints in view M
+    before and after the chunk.
     sel_indices: [B,K] selected patch indices in view M.
     next_feats_m: [B,P,d] frozen spatial-stream features of the next scene.
     Returns (targets [B,K,d], mask [B,K]) where the mask marks selected
     patches overlapping the target object both before and after the chunk.
     """
     tgt = np.take_along_axis(next_feats_m, sel_indices[..., None], axis=-2)
-    cur = np.take_along_axis(obs["target_mask_m"], sel_indices, axis=-1)
-    nxt = np.take_along_axis(next_obs["target_mask_m"], sel_indices, axis=-1)
+    cur = np.take_along_axis(target_mask_m, sel_indices, axis=-1)
+    nxt = np.take_along_axis(next_target_mask_m, sel_indices, axis=-1)
     return tgt, (cur & nxt).astype(float)

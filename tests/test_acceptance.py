@@ -224,7 +224,7 @@ def test_criterion_06_loss_contracts():
                  and abs(l_act - abs(c)) < 1e-12)
     total, rep = total_loss(Tensor(np.float64(0.25)), Tensor(np.float64(1.5)),
                             Tensor(np.float64(0.125)))
-    sum_ok = total.data == 0.25 + 1.5 + 0.125 and rep.l_total == total.data
+    sum_ok = total.data == 0.25 + 1.5 + 0.125 and rep["l_total"] == total.data
     check(6, "loss-contracts", zero_ok and closed_ok and sum_ok,
           f"dyn={l_dyn}, dep={l_dep}, act={l_act}")
 

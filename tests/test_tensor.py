@@ -65,6 +65,17 @@ def test_masked_softmax_matches_restricted_softmax():
 def test_masked_softmax_fully_masked_row_raises():
     with pytest.raises(ContractError, match="fully masked"):
         masked_softmax(Tensor([[1.0, 2.0]]), np.zeros((1, 2), bool))
+    # an [n, k] mask is checked as given, before it meets [B, h, n, k] logits
+    mask = np.ones((3, 4), bool)
+    mask[1] = False
+    with pytest.raises(ContractError, match="fully masked"):
+        masked_softmax(Tensor(np.zeros((2, 2, 3, 4))), mask)
+
+
+@pytest.mark.parametrize("mask_shape", [(3, 5), (2, 3, 4), (2, 2, 2, 3, 4)])
+def test_masked_softmax_rejects_mask_that_does_not_broadcast(mask_shape):
+    with pytest.raises(ValueError, match="broadcast"):
+        masked_softmax(Tensor(np.zeros((2, 1, 3, 4))), np.ones(mask_shape, bool))
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,6 +88,9 @@ def test_masked_softmax_rows_sum_to_one(rows, cols, seed):
     out = masked_softmax(Tensor(logits), mask).data
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
     assert (out[~mask] == 0.0).all()
+    # no mask is the plain softmax, bit for bit an all-True mask's
+    np.testing.assert_array_equal(masked_softmax(Tensor(logits)).data,
+                                  masked_softmax(Tensor(logits), np.ones_like(mask)).data)
 
 
 def test_layer_norm_constant_row_is_zero():

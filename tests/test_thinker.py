@@ -141,8 +141,8 @@ def test_total_loss_is_exact_sum():
     lp = Tensor(np.float64(0.125))
     total, rep = total_loss(la, ld, lp)
     assert total.data == 0.25 + 1.5 + 0.125  # exact in binary floats
-    assert rep.to_dict() == {"l_action": 0.25, "l_dyn4d": 1.5,
-                             "l_dep4d": 0.125, "l_total": 1.875}
+    assert rep == {"l_action": 0.25, "l_dyn4d": 1.5,
+                   "l_dep4d": 0.125, "l_total": 1.875}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsevla import blocks, tensor
+from sparsevla import blocks, tensor, trainer
 from sparsevla.config import micro_config, toy_config
 from sparsevla.model import VLAModel
 from sparsevla.tensor import ContractError, Tape, Tensor, backward, grad_of, parameter
@@ -118,6 +118,29 @@ def test_every_trainable_parameter_gets_gradient(make_cfg):
     assert dead == []
 
 
+def test_training_leaves_frozen_parameters_alone(monkeypatch):
+    cfg = micro_config()
+    cfg.train.steps = 3
+    cfg.train.batch_size = 2
+    optimizers = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            optimizers.append(self)
+
+    monkeypatch.setattr(trainer, "Adam", RecordingAdam)
+    before = {k: p.data.tobytes()
+              for k, p in VLAModel(cfg, seed=cfg.train.seed).frozen_parameters().items()}
+    model, _ = train(cfg, _episodes(2, cfg=cfg))
+    frozen = model.frozen_parameters()
+    assert frozen and set(frozen) == set(before)
+    for k, p in frozen.items():
+        assert p.data.tobytes() == before[k], k
+    [opt] = optimizers
+    assert not {id(p) for _, p in opt.items} & {id(p) for p in frozen.values()}
+
+
 def test_train_rejects_empty_dataset():
     cfg = toy_config()
     cfg.train.steps = 1
@@ -226,6 +249,8 @@ def test_run_grad_checks_micro_config():
     assert report["pass"], report["failing_groups"]
     assert report["frozen_zero_grad"]
     assert set(report["groups"]) >= {"film", "sc_attn", "decoders", "heads"}
+    for g in report["groups"].values():
+        assert 0 <= g["nonzero"] <= g["checked"]
 
 
 def _tanh_with_1pct_backward_error(x):

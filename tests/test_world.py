@@ -283,8 +283,7 @@ def test_oracle_dyn_targets_hand_case():
     sel = np.array([[1, 3], [0, 0]])
     cur = np.array([[False, True, False, True], [True, False, False, False]])
     nxt = np.array([[False, True, False, False], [True, False, False, False]])
-    tgt, mask = oracle_dyn_targets({"target_mask_m": cur}, {"target_mask_m": nxt},
-                                   sel, feats)
+    tgt, mask = oracle_dyn_targets(cur, nxt, sel, feats)
     np.testing.assert_array_equal(tgt[0], feats[0][[1, 3]])
     np.testing.assert_array_equal(tgt[1], feats[1][[0, 0]])
     # patch 3 left the target footprint, so its mask entry drops out
